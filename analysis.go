@@ -235,7 +235,7 @@ func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, 
 	// the stage.
 	sink := unbeat.NewProgressSink(progress)
 	sink.Stage("compile", 0)
-	kit := e.getKit(true)
+	kit := e.getKit()
 	// Panic isolation for the compile stage: protocol code runs here in
 	// the calling goroutine, so a panic is converted into a typed
 	// analysis failure and the kit — possibly mid-mutation — is

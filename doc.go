@@ -92,7 +92,7 @@
 //	WithCrashBound    -1       crash bound t; -1 means n−1 per adversary
 //	WithDegree        1        coordination degree k (1 = consensus)
 //	WithHorizon       0        0 = each protocol's registered worst case (override: Oracle only)
-//	WithGraphCache    64       cached knowledge graphs; 0 disables
+//	WithGraphCache    64       Run/Sweep/stream graph cache, 0 disables (SweepSource: per-worker builders)
 //	WithParallelism   NumCPU   Sweep/Analyze worker-pool size
 //	WithRegistry      default  protocol name resolution
 //	WithAnalyses      default  analysis family resolution
@@ -275,10 +275,10 @@
 // AndNotCount / OrCount / CopyFrom kernels). Building a graph costs six
 // allocations regardless of n and horizon; a knowledge.Builder with
 // Graph.Release recycles even those, and aggregating sweeps
-// (SweepSource with the graph cache disabled) give each worker a
-// private builder so a whole shard reuses one arena. Because an
-// exhaustive enumeration yields every input vector of one canonical
-// failure pattern consecutively, the Builder additionally revives a
+// (SweepSource) give each worker a private builder so a whole shard
+// reuses one arena. Because an exhaustive enumeration yields every
+// input vector of one canonical failure pattern consecutively, the
+// Builder additionally revives a
 // released same-pattern graph: the views, known-crash, and hidden
 // tables are reused verbatim and only the value layer is recomputed, so
 // the steady state of a pattern block is an allocation-free ~1µs
@@ -352,7 +352,7 @@
 // runs are carved from slabs, and candidate testing is allocation-free
 // per candidate (per-worker testScratch; pinned by
 // internal/unbeat/scratch_test.go). The pre-pipeline search is retained
-// verbatim as internal/unbeat/reference.go, enforced report-for-report
+// verbatim as internal/unbeat/reference_test.go, enforced report-for-report
 // by equivalence tests and measured by the
 // BenchmarkAnalyze/BenchmarkSearchReference ablation pair.
 //

@@ -35,12 +35,11 @@ import (
 //     buffer — the engine folds it into the per-worker accumulators and
 //     never lets it escape. Anything that retains Results (Run, Sweep,
 //     the stream variants) goes through Backend.Run instead.
-//   - Knowledge graphs: with the graph cache disabled, each aggregating
-//     worker rebuilds graphs in one reused Builder arena and releases
-//     them as soon as the adversary's runs are folded; consecutive
-//     adversaries sharing a failure pattern revive the previous arena
-//     and recompute only the value layer. Cached graphs are shared and
-//     retained, so recycling never applies to them.
+//   - Knowledge graphs: each aggregating worker rebuilds graphs in one
+//     reused Builder arena and releases them as soon as the adversary's
+//     runs are folded; consecutive adversaries sharing a failure pattern
+//     patch or revive the previous arena. The graph cache serves only
+//     the Result-retaining paths, so recycling never applies to it.
 //   - Summary shards: each worker folds into private agg.Acc
 //     accumulators and merges them into the Aggregator exactly once,
 //     when its shard is drained (Summary.Merge is the public form of
@@ -78,9 +77,9 @@ type Engine struct {
 	// statBuilt/statRevived/statPatched accumulate the builder counts
 	// harvested when a worker returns its kit — the engine-wide "graphs
 	// rebuilt vs revived vs delta-patched" observability counters behind
-	// Stats. They only move on the recycling path (graph cache disabled,
-	// or an analysis compile); cached graphs are counted by CachedGraphs
-	// instead.
+	// Stats. They move on the recycling path (aggregating sweeps and
+	// analysis compiles); graphs cached for Result-retaining calls are
+	// counted by CachedGraphs instead.
 	statBuilt   atomic.Int64
 	statRevived atomic.Int64
 	statPatched atomic.Int64
@@ -365,9 +364,9 @@ func (e *Engine) CachedGraphs() int {
 // surface. GraphsRebuilt, GraphsRevived, and GraphsPatched count full
 // knowledge-graph builds, same-pattern revives (value layer refilled),
 // and delta patches (only the value rows touched by a single changed
-// input rewritten) on the arena-recycling path (graph cache disabled,
-// and every analysis compile stage); CachedGraphs is the current cache
-// population on the caching path.
+// input rewritten) on the arena-recycling path (aggregating sweeps and
+// analysis compiles); CachedGraphs is the cache population of the
+// Result-retaining paths (Run, Sweep, the stream variants).
 // The pool hit-rate pairs meter the two freelists behind aggregating
 // sweeps: RunKitHits/RunKitMisses count per-worker runKit (RunBuffer +
 // builder arena) checkouts served warm from the pool versus freshly
@@ -784,9 +783,8 @@ func (e *Engine) sweep(ctx context.Context, refs []string, src Source, deliver f
 // is the only synchronization point of the whole sweep, so throughput
 // scales with Parallelism instead of flatlining on an aggregator lock.
 func (e *Engine) sweepAggregate(ctx context.Context, refs []string, src Source, a *Aggregator) error {
-	recycleGraphs := e.params.GraphCache == 0 && e.backend.NeedsGraph()
 	return e.sweepExec(ctx, refs, src, func(ctx context.Context, specs []*ProtocolSpec, jobs <-chan *sweepChunk) (err error) {
-		kit := e.getKit(recycleGraphs)
+		kit := e.getKit()
 		// Worker-level panic isolation, innermost so the captured stack
 		// keeps the panic-origin frames: a panicking protocol run
 		// becomes a typed sweep error, and the kit — possibly left
@@ -815,7 +813,7 @@ func (e *Engine) sweepAggregate(ctx context.Context, refs []string, src Source, 
 }
 
 // runKit is the pooled per-worker state of an aggregating sweep: the
-// RunBuffer behind Backend.RunInto and, when graph recycling applies,
+// RunBuffer behind Backend.RunInto and, when the backend needs a graph,
 // the worker's knowledge Builder. Kits recycle through the engine's
 // bounded freelist so repeated sweeps reuse warmed-up buffers; bufBytes
 // is the RunBuffer capacity last reported to the governor.
@@ -830,7 +828,7 @@ type runKit struct {
 // keeping warm.
 func (e *Engine) kitPoolBound() int { return e.params.Parallelism }
 
-func (e *Engine) getKit(recycleGraphs bool) *runKit {
+func (e *Engine) getKit() *runKit {
 	e.kitMu.Lock()
 	var kit *runKit
 	if n := len(e.kitFree); n > 0 {
@@ -845,7 +843,7 @@ func (e *Engine) getKit(recycleGraphs bool) *runKit {
 	} else {
 		e.statKitHit.Add(1)
 	}
-	if recycleGraphs && kit.builder == nil {
+	if kit.builder == nil && e.backend.NeedsGraph() {
 		kit.builder = knowledge.NewBuilder()
 		if e.gov != nil {
 			kit.builder.SetMeter(e.gov)
@@ -1005,12 +1003,8 @@ func (e *Engine) foldOne(ctx context.Context, refs []string, specs []*ProtocolSp
 	e.memoFor(memo, refs, specs, p)
 	var g *knowledge.Graph
 	if e.backend.NeedsGraph() {
-		if kit.builder != nil {
-			g = kit.builder.Build(adv, memo.horizon)
-			defer g.Release()
-		} else {
-			g = e.graphFor(adv, memo.horizon)
-		}
+		g = kit.builder.Build(adv, memo.horizon)
+		defer g.Release()
 	}
 	req := &kit.buf.req
 	for refIdx, spec := range specs {

@@ -31,7 +31,6 @@ func testEngine(t *testing.T) *setconsensus.Engine {
 	t.Helper()
 	p := setconsensus.DefaultEngineParams()
 	p.T = setconsensus.PatternCrashBound
-	p.GraphCache = 0
 	eng, err := setconsensus.NewEngine(p)
 	if err != nil {
 		t.Fatal(err)

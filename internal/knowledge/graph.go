@@ -19,7 +19,7 @@
 // non-delivery sets are hoisted once per graph, and the hidden tables are
 // union popcounts — so building a graph costs a handful of allocations
 // regardless of n and horizon. The naive implementation it replaced is
-// retained in reference.go and the two are cross-checked node-for-node
+// retained in reference_test.go and the two are cross-checked node-for-node
 // over randomized adversaries in equiv_test.go.
 package knowledge
 

@@ -20,10 +20,8 @@ import (
 // (SweepProgress/AnalysisProgress) into the job's SSE feed, and maps the
 // outcome onto the terminal states.
 
-// engineFor builds the per-job engine. Sweep jobs disable the graph
-// cache: the aggregating path then recycles builder arenas per worker
-// (the revive fast path), which is both the fast configuration for
-// exhaustive spaces and the one that feeds the rebuilt/revived counters.
+// engineFor builds the per-job engine from the default params plus the
+// request's overrides.
 func (s *Server) engineFor(req *JobRequest) (*setconsensus.Engine, error) {
 	p := setconsensus.DefaultEngineParams()
 	p.Parallelism = s.params.EngineParallelism
@@ -44,9 +42,6 @@ func (s *Server) engineFor(req *JobRequest) (*setconsensus.Engine, error) {
 		// The workload-sweep default, as in the CLIs: each adversary's
 		// own failure count.
 		p.T = setconsensus.PatternCrashBound
-	}
-	if req.Kind == KindSweep {
-		p.GraphCache = 0
 	}
 	return setconsensus.NewEngine(p, setconsensus.WithGovernor(s.gov))
 }

@@ -13,7 +13,7 @@ import (
 
 // The ablation pair behind the analysis pipeline: the staged
 // compile/shard/test search versus the retained pre-pipeline reference
-// (reference.go — map per candidate, bitset per (candidate, run),
+// (reference_test.go — map per candidate, bitset per (candidate, run),
 // allocating run path). The uniform n=4 probe is the seeded space whose
 // candidate testing is heavy enough to exercise the stage the pipeline
 // reworked; BenchmarkAnalyze in the root package measures the same

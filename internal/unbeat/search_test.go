@@ -189,7 +189,7 @@ func TestSearchParallelEquivalence(t *testing.T) {
 }
 
 // TestSearchMatchesReference pins the staged pipeline node for node
-// against the retained pre-pipeline implementation (reference.go): same
+// against the retained pre-pipeline implementation (reference_test.go): same
 // verdict, same counters, same witness, on unbeaten and beaten spaces.
 func TestSearchMatchesReference(t *testing.T) {
 	cases := []struct {

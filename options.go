@@ -69,7 +69,8 @@ const PatternCrashBound = -2
 //	                      PatternCrashBound (-2) the adversary's failure count
 //	K            1        coordination degree (1 = consensus)
 //	Horizon      0        0 means each protocol's WorstCaseTime
-//	GraphCache   64       cached knowledge graphs; 0 disables
+//	GraphCache   64       graphs cached for Run/Sweep/stream Results;
+//	                      0 disables (SweepSource recycles per worker)
 //	Parallelism  NumCPU   Sweep worker-pool size
 type EngineParams struct {
 	Backend     BackendKind
@@ -172,9 +173,9 @@ func WithHorizon(h int) Option {
 	return func(c *engineConfig) { c.params.Horizon = h }
 }
 
-// WithGraphCache bounds the number of knowledge graphs the engine keeps
-// across calls (keyed by adversary and horizon). 0 disables caching;
-// Sweep still shares one graph per adversary within a sweep.
+// WithGraphCache bounds the knowledge graphs kept across Run, Sweep and
+// stream calls, whose Results retain their graph. 0 disables caching.
+// SweepSource never uses it: it always recycles per-worker builders.
 func WithGraphCache(entries int) Option {
 	return func(c *engineConfig) { c.params.GraphCache = entries }
 }

@@ -222,37 +222,47 @@ func TestAggregatorTracksWireBits(t *testing.T) {
 }
 
 // TestSweepSourceRecycledGraphsGolden pins the graph-recycling worker
-// path: SweepSource with the graph cache disabled rebuilds each shard's
-// knowledge graphs in a per-worker reused arena and releases them as
-// soon as their results are aggregated. The summary must be identical
-// to the cached engine's, which never recycles — a stale-arena bug or a
-// Result that outlives its Release would diverge here.
+// path: SweepSource on a default engine builds each shard's knowledge
+// graphs in a per-worker reused arena (full build, then delta patches
+// within each pattern block) and releases them as soon as their results
+// are aggregated. Its differential twin is the same engine's
+// SweepSourceStream folded through Aggregator.Add, which builds a fresh
+// graph per adversary and retains every Result. The summaries must be
+// identical — a stale-arena bug, a wrong patch, or a Result that
+// outlives its Release would diverge here.
 func TestSweepSourceRecycledGraphsGolden(t *testing.T) {
 	space := setconsensus.Space{N: 3, T: 2, MaxRound: 2, Values: []int{0, 1}}
 	refs := []string{"optmin", "upmin", "floodmin"}
-	cached := setconsensus.New(setconsensus.WithCrashBound(2))
-	recycled := setconsensus.New(setconsensus.WithCrashBound(2), setconsensus.WithGraphCache(0))
+	eng := setconsensus.New(setconsensus.WithCrashBound(2))
 
-	summaries := make([]*setconsensus.Summary, 2)
-	for i, eng := range []*setconsensus.Engine{cached, recycled} {
-		src, err := setconsensus.SpaceSource(space)
-		if err != nil {
-			t.Fatal(err)
-		}
-		summaries[i], err = eng.SweepSource(context.Background(), refs, src)
-		if err != nil {
-			t.Fatal(err)
-		}
+	src, err := setconsensus.SpaceSource(space)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want, got := summaries[0], summaries[1]
+	fresh, err := eng.NewAggregator(src.Label(), refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SweepSourceStream(context.Background(), refs, src, fresh.Add); err != nil {
+		t.Fatal(err)
+	}
+	src, err = setconsensus.SpaceSource(space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.SweepSource(context.Background(), refs, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.Summary()
 	if got.Runs() != want.Runs() {
-		t.Fatalf("recycled path ran %d, cached %d", got.Runs(), want.Runs())
+		t.Fatalf("recycled path ran %d, fresh-graph stream %d", got.Runs(), want.Runs())
 	}
 	for i, p := range got.Protocols {
 		w := want.Protocols[i]
 		if p.Ref != w.Ref || p.Runs != w.Runs || p.Undecided != w.Undecided ||
 			p.Violations != w.Violations || p.MaxTime != w.MaxTime || p.SumTime != w.SumTime {
-			t.Errorf("protocol %s: recycled %+v, cached %+v", p.Ref, p, w)
+			t.Errorf("protocol %s: recycled %+v, fresh-graph stream %+v", p.Ref, p, w)
 		}
 		for tm, n := range w.TimeHist {
 			if p.TimeHist[tm] != n {
@@ -264,21 +274,26 @@ func TestSweepSourceRecycledGraphsGolden(t *testing.T) {
 
 // TestSweepSourceMetersPatches pins the delta-order sweep's build
 // economics exactly: on a pattern-block-aligned sweep of an exhaustive
-// space with the graph cache disabled, the engine performs one full
-// knowledge-graph build per canonical failure pattern and patches every
-// other adversary of the block (same pattern, one input changed). Any
-// drift — a chunk boundary landing mid-block, a patch silently falling
-// back to a rebuild, a revive sneaking in without a cache — breaks an
-// equality here.
+// space, the engine performs one full knowledge-graph build per
+// canonical failure pattern and patches every other adversary of the
+// block (same pattern, one input changed). Any drift — a chunk boundary
+// landing mid-block, a patch silently falling back to a rebuild, a
+// revive sneaking in — breaks an equality here. The graph cache must
+// not gate this: a default engine (cache on) recycles exactly like a
+// cache-off one, and leaves its cache empty.
 func TestSweepSourceMetersPatches(t *testing.T) {
 	space := setconsensus.Space{N: 3, T: 2, MaxRound: 2, Values: []int{0, 1}}
 	refs := []string{"upmin"}
-	for _, workers := range []int{1, 4} {
-		eng := setconsensus.New(
-			setconsensus.WithCrashBound(2),
-			setconsensus.WithGraphCache(0),
-			setconsensus.WithParallelism(workers),
-		)
+	cases := []struct {
+		name string
+		opts []setconsensus.Option
+	}{
+		{"workers=1", []setconsensus.Option{setconsensus.WithGraphCache(0), setconsensus.WithParallelism(1)}},
+		{"workers=4", []setconsensus.Option{setconsensus.WithGraphCache(0), setconsensus.WithParallelism(4)}},
+		{"default", nil},
+	}
+	for _, tc := range cases {
+		eng := setconsensus.New(append([]setconsensus.Option{setconsensus.WithCrashBound(2)}, tc.opts...)...)
 		src, err := setconsensus.SpaceSource(space)
 		if err != nil {
 			t.Fatal(err)
@@ -295,15 +310,18 @@ func TestSweepSourceMetersPatches(t *testing.T) {
 		patterns := int64(total / block)
 		st := eng.Stats()
 		if st.GraphsRebuilt != patterns {
-			t.Errorf("workers=%d: GraphsRebuilt = %d, want one per pattern (%d)",
-				workers, st.GraphsRebuilt, patterns)
+			t.Errorf("%s: GraphsRebuilt = %d, want one per pattern (%d)",
+				tc.name, st.GraphsRebuilt, patterns)
 		}
 		if st.GraphsRevived != 0 {
-			t.Errorf("workers=%d: GraphsRevived = %d without a cache", workers, st.GraphsRevived)
+			t.Errorf("%s: GraphsRevived = %d on a delta-ordered sweep", tc.name, st.GraphsRevived)
 		}
 		if want := int64(total) - patterns; st.GraphsPatched != want {
-			t.Errorf("workers=%d: GraphsPatched = %d, want total-patterns = %d",
-				workers, st.GraphsPatched, want)
+			t.Errorf("%s: GraphsPatched = %d, want total-patterns = %d",
+				tc.name, st.GraphsPatched, want)
+		}
+		if st.CachedGraphs != 0 {
+			t.Errorf("%s: CachedGraphs = %d after an aggregating sweep", tc.name, st.CachedGraphs)
 		}
 	}
 }
