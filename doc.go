@@ -193,8 +193,10 @@
 //	            and duplicate completions merge idempotently by offset
 //	checkpoint  the coordinator's state — done ranges with their partial
 //	            Summaries, pending ranges with attempt counts, the
-//	            enumeration frontier — written atomically to a JSON file
-//	            after every completed range
+//	            enumeration frontier — sealed after every completed
+//	            range and written atomically to a JSON file by a
+//	            background writer (newest state first: a state sealed
+//	            while a write is in flight supersedes the one before)
 //	resume      re-running the same invocation against an existing
 //	            checkpoint: the file is validated against the workload,
 //	            protocol refs, and range size, finished ranges are
@@ -331,11 +333,12 @@
 // decisions, scratch-set task verification (internal/check.Scratch),
 // and no rendered adversary strings — the display string is a memoized
 // lazy closure, materialized only when a retained Result actually needs
-// it. Enumeration feeds workers through pooled chunks and dedups
-// canonical failure patterns on compact binary fingerprints
-// (FailurePattern.AppendFingerprint) built in one reused buffer,
-// carving adversaries out of slab blocks. The aggregating path
-// allocates ~2 objects per adversary, all of them the adversary itself.
+// it. Enumeration feeds workers through pooled chunks, generates only
+// canonical failure patterns (no dedup set: the first member of each
+// class is recognised locally), seeks past whole crasher subsets in
+// closed form, and carves adversaries out of slab blocks. The
+// aggregating path allocates ~2 objects per adversary, all of them the
+// adversary itself.
 //
 // Cache keys are compact binary encodings, not rendered strings: both
 // the per-view Fingerprint (view interning in the unbeatability search

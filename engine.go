@@ -470,8 +470,7 @@ func (e *Engine) SweepStream(ctx context.Context, refs []string, advs []*Adversa
 // sharded across the worker pool in deterministic chunks and never
 // materialized: memory is bounded by the Summary, the in-flight chunks,
 // and whatever the source itself retains (an exhaustive SpaceSource
-// keeps its canonical-pattern dedup set) — never by the number of
-// results. Per adversary, all protocols share one knowledge graph, as
+// retains nothing between patterns) — never by the number of results. Per adversary, all protocols share one knowledge graph, as
 // in Sweep.
 //
 // This is the allocation-free sweep variant: every run goes through the

@@ -86,7 +86,7 @@ type CoordinateOpts struct {
 	// each receives range-scoped sweep jobs.
 	Join []string
 	// Checkpoint, when non-empty, enables durable resume: state is
-	// written atomically to this file on every completed range, and an
+	// written atomically to this file as ranges complete, and an
 	// existing file is resumed from.
 	Checkpoint string
 	// RangeSize overrides the adversaries-per-range default (0 = keep).

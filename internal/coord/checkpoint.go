@@ -115,11 +115,10 @@ func atomicWrite(path string, blob []byte) error {
 	return nil
 }
 
-// writeCheckpointLocked persists the current state: marshal with an
-// embedded checksum, atomically replace the primary, then refresh the
-// .bak with the same bytes. Because the .bak is only ever written with
-// a sealed blob, it always holds the last good state even if the
-// primary is later torn. No-op without a configured path.
+// writeCheckpointLocked seals the current state — marshal with an
+// embedded checksum — and persists it: through Run's background writer
+// while one is active, directly otherwise. No-op without a configured
+// path.
 func (c *Coordinator) writeCheckpointLocked() error {
 	if c.params.CheckpointPath == "" {
 		return nil
@@ -158,6 +157,22 @@ func (c *Coordinator) writeCheckpointLocked() error {
 	if err != nil {
 		return err
 	}
+	if c.ckptWake != nil {
+		c.ckptNext = blob
+		select {
+		case c.ckptWake <- struct{}{}:
+		default: // the writer is already due to wake
+		}
+		return nil
+	}
+	return c.persistCheckpoint(blob)
+}
+
+// persistCheckpoint atomically replaces the primary with blob, then
+// refreshes the .bak with the same bytes. Because the .bak is only ever
+// written with a sealed blob, it always holds the last good state even
+// if the primary is later torn.
+func (c *Coordinator) persistCheckpoint(blob []byte) error {
 	if fire, _ := chaos.Fire(c.params.Chaos, chaos.PointTornCheckpoint); fire {
 		// Injected torn write: half the blob lands on the primary with no
 		// atomic rename and no .bak refresh — the failure the checksum
@@ -170,6 +185,40 @@ func (c *Coordinator) writeCheckpointLocked() error {
 		return err
 	}
 	return atomicWrite(c.params.CheckpointPath+bakSuffix, blob)
+}
+
+// checkpointWriter is Run's background checkpoint writer. Each wake it
+// persists the newest sealed blob; states sealed while a write is in
+// flight are superseded by the next one rather than queued, so a slow
+// disk skips intermediate states instead of stalling completions (and
+// the coordinator lock) behind file I/O. Once stop closes it persists
+// whatever is left and returns. A failed write is fatal to the run.
+func (c *Coordinator) checkpointWriter(wake, stop <-chan struct{}) {
+	for {
+		stopped := false
+		select {
+		case <-wake:
+		case <-stop:
+			stopped = true
+		}
+		c.mu.Lock()
+		blob := c.ckptNext
+		c.ckptNext = nil
+		c.mu.Unlock()
+		if blob != nil {
+			if err := c.persistCheckpoint(blob); err != nil {
+				c.mu.Lock()
+				if c.fatal == nil {
+					c.fatal = err
+					c.cancel()
+				}
+				c.mu.Unlock()
+			}
+		}
+		if stopped {
+			return
+		}
+	}
 }
 
 // readCheckpoint reads and fully validates one checkpoint file against

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	setconsensus "setconsensus"
 	"setconsensus/internal/agg"
 	"setconsensus/internal/chaos"
 )
@@ -263,4 +265,88 @@ func goldenFake(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return summaryJSON(t, s)
+}
+
+// TestRunLeavesFinalCheckpoint: completions during Run hand their
+// checkpoint to a background writer, which may skip states superseded
+// while a write is in flight, but Run must not return before the final
+// state is on disk — primary and .bak byte-identical, every adversary
+// in a done range, nothing pending.
+func TestRunLeavesFinalCheckpoint(t *testing.T) {
+	cp := filepath.Join(t.TempDir(), "sweep.ckpt")
+	p := testParams(2)
+	p.CheckpointPath = cp
+	c, err := New("fake", testRefs, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(context.Background(), []Worker{plainFake("a"), plainFake("b"), plainFake("c")}, nil); err != nil {
+		t.Fatal(err)
+	}
+	primary, err := os.ReadFile(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bak, err := os.ReadFile(cp + bakSuffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(primary) != string(bak) {
+		t.Error(".bak differs from the primary after Run")
+	}
+	resumed, err := New("fake", testRefs, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.doneAdv != fakeTotal || len(resumed.pending) != 0 || !resumed.exhausted {
+		t.Errorf("final checkpoint: %d adversaries done (want %d), %d ranges pending, exhausted=%v",
+			resumed.doneAdv, fakeTotal, len(resumed.pending), resumed.exhausted)
+	}
+}
+
+// TestCheckpointWriterDrainsOnStop: a state sealed after the writer's
+// last wake is still written when Run stops the writer.
+func TestCheckpointWriterDrainsOnStop(t *testing.T) {
+	cp := filepath.Join(t.TempDir(), "sweep.ckpt")
+	p := testParams(5)
+	p.CheckpointPath = cp
+	c, err := New("fake", testRefs, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ckptNext = []byte("last sealed state")
+	stop := make(chan struct{})
+	close(stop)
+	c.checkpointWriter(make(chan struct{}), stop)
+	if got, err := os.ReadFile(cp); err != nil || string(got) != "last sealed state" {
+		t.Fatalf("after stop the primary holds %q (err %v), want the last sealed state", got, err)
+	}
+}
+
+// TestCheckpointWriteErrorFailsRun: a checkpoint write that fails in
+// the background writer is as fatal to the run as a synchronous one.
+func TestCheckpointWriteErrorFailsRun(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	p := testParams(2)
+	p.CheckpointPath = filepath.Join(dir, "sweep.ckpt")
+	c, err := New("fake", testRefs, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The seed write lands before any worker starts; removing the
+	// directory under the first sweep makes every later write fail.
+	w := &fakeWorker{name: "w", sweep: func(_ context.Context, r Range) (*setconsensus.Summary, error) {
+		if r.Offset == 0 {
+			if err := os.RemoveAll(dir); err != nil {
+				return nil, err
+			}
+		}
+		return fakeSum(r.Offset, r.Limit), nil
+	}}
+	if _, err := c.Run(context.Background(), []Worker{w}, nil); err == nil || !strings.Contains(err.Error(), "checkpoint") {
+		t.Fatalf("Run after the checkpoint directory vanished: err = %v, want a checkpoint write error", err)
+	}
 }

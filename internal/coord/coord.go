@@ -22,10 +22,15 @@
 // A checkpoint is the coordinator's durable state: the merged Summary
 // of every completed range plus the pending set (leases are deliberately
 // not persisted — on resume every outstanding range is pending again).
-// Checkpoints are written atomically (temp file + rename) on every
-// completion, carry an embedded checksum, and keep a .bak of the last
-// good file, so a SIGKILL — or a torn write — at any instant leaves a
-// loadable state.
+// Every completion seals a checkpoint; during Run a background writer
+// writes the newest sealed one atomically (temp file + rename), so a
+// completion never waits on the disk and a state sealed while a write
+// is in flight supersedes its predecessor instead of queueing behind
+// it. Checkpoints carry an embedded checksum and keep a .bak of the
+// last good file, so a SIGKILL — or a torn write — at any instant
+// leaves a loadable state, at most the write in flight behind (its
+// ranges are swept again on resume). Run returns only once the final
+// state is on disk.
 //
 // Resume is New with a CheckpointPath whose file exists: the
 // coordinator validates the checksum (falling back to the .bak when the
@@ -128,8 +133,9 @@ type Params struct {
 	// trips double it, capped at 8× the configured value.
 	BreakerProbation time.Duration
 	// CheckpointPath, when non-empty, enables durable state: the file is
-	// loaded on New when it exists (resume) and written atomically on
-	// every range completion, with a .bak of the last good state.
+	// loaded on New when it exists (resume) and rewritten atomically
+	// after range completions (the newest state at each write, and the
+	// final one before Run returns), with a .bak of the last good state.
 	CheckpointPath string
 	// ProgressInterval throttles the aggregated progress feed.
 	ProgressInterval time.Duration
@@ -263,6 +269,12 @@ type Coordinator struct {
 	statTrips       int64 // breaker transitions into quarantine
 	statProbations  int64 // probation trial ranges granted
 	statCkptFallbak int64 // checkpoint loads served from the .bak
+
+	// While Run's checkpoint writer is active, writeCheckpointLocked
+	// leaves the sealed blob in ckptNext and signals ckptWake (nil
+	// otherwise, when it writes the blob itself).
+	ckptWake chan struct{}
+	ckptNext []byte
 }
 
 // New builds a coordinator for one workload. workload is both the
@@ -757,6 +769,16 @@ func (c *Coordinator) Run(ctx context.Context, workers []Worker, progress func(s
 		c.mu.Unlock()
 		return nil, err
 	}
+	var writer sync.WaitGroup
+	stopWriter := make(chan struct{})
+	if c.params.CheckpointPath != "" {
+		c.ckptWake = make(chan struct{}, 1)
+		writer.Add(1)
+		go func(wake <-chan struct{}) {
+			defer writer.Done()
+			c.checkpointWriter(wake, stopWriter)
+		}(c.ckptWake)
+	}
 	c.mu.Unlock()
 
 	var wg sync.WaitGroup
@@ -790,9 +812,12 @@ func (c *Coordinator) Run(ctx context.Context, workers []Worker, progress func(s
 		}(w)
 	}
 	wg.Wait()
+	close(stopWriter)
+	writer.Wait() // the final state is on disk
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.ckptWake = nil
 	if c.fatal != nil {
 		return nil, c.fatal
 	}

@@ -9,6 +9,14 @@
 // and From(offset) resumes mid-stream, so unbounded sweeps can checkpoint
 // with nothing but an integer.
 //
+// The walk generates canonical failure patterns only, so deduplication
+// needs no memory of what it has seen: a full pass holds O(1) state
+// beyond the adversaries it yields. Every offset is addressable in
+// closed form down to the crasher subset — the number of canonical
+// patterns of a subset depends only on its size — so a seek skips whole
+// subsets arithmetically and walks only the patterns of the one subset
+// holding the offset, without materializing them.
+//
 // Within each failure pattern's block the input vectors follow a
 // reflected Gray code over Values (delta order): consecutive adversaries
 // differ in exactly one process's initial value. DeltaOrder and DeltaRange
@@ -23,6 +31,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"math/bits"
 
 	"setconsensus/internal/bitset"
 	"setconsensus/internal/model"
@@ -36,9 +45,13 @@ type Space struct {
 	Values   []model.Value // every input vector over this set is produced
 }
 
+// maxN bounds the number of processes: the walk packs each crasher's
+// delivery set into one 64-bit word.
+const maxN = 64
+
 // Validate sanity-checks the space.
 func (s Space) Validate() error {
-	if s.N < 2 || s.T < 0 || s.T > s.N-1 || s.MaxRound < 1 || len(s.Values) == 0 {
+	if s.N < 2 || s.N > maxN || s.T < 0 || s.T > s.N-1 || s.MaxRound < 1 || len(s.Values) == 0 {
 		return fmt.Errorf("enum: invalid space %+v", s)
 	}
 	return nil
@@ -64,10 +77,14 @@ func (s Space) CountUpperBound() float64 {
 	return patterns * math.Pow(float64(len(s.Values)), float64(s.N))
 }
 
-// inputCount returns the number of input vectors, len(Values)^N.
+// inputCount returns the number of input vectors, len(Values)^N,
+// saturating at math.MaxInt.
 func (s Space) inputCount() int {
 	c := 1
 	for i := 0; i < s.N; i++ {
+		if c > math.MaxInt/len(s.Values) {
+			return math.MaxInt
+		}
 		c *= len(s.Values)
 	}
 	return c
@@ -79,14 +96,11 @@ func (s Space) inputCount() int {
 // in crash-round deliveries to processes that are already dead at receipt
 // time (such deliveries are unobservable: dead processes never read).
 //
-// The walk never materializes adversaries, but canonical deduplication
-// retains one key per distinct failure pattern seen — the compact binary
-// fingerprint of FailurePattern.AppendFingerprint, built in a reused
-// buffer, not a rendered string — so a full pass holds O(#patterns)
-// memory, a factor len(Values)^N below the adversary count, never
-// proportional to it. Duplicate patterns are rejected on the raw
-// fingerprint alone: the canonical pattern is only materialized for
-// patterns that survive deduplication.
+// Deduplication keeps no record of the patterns already yielded: the
+// walk generates only the first member of each class — the configuration
+// with no delivery to a dead receiver — so a full pass holds O(1) memory
+// beyond the adversaries themselves, and each canonical pattern is
+// materialized once, for its block.
 //
 // The iterator requires a valid space; an invalid one yields nothing —
 // callers that need the error use Validate or ForEach.
@@ -127,10 +141,16 @@ func (sl *advSlab) carve(inputs []model.Value, pattern *model.FailurePattern) *m
 // suffix beginning with the offset-th canonical adversary, with the same
 // offsets All would have paired them with. Recording the last offset seen
 // plus one is therefore enough state to pause and resume an unbounded
-// sweep. Whole failure-pattern blocks before the offset are skipped
-// without enumerating their input vectors (each canonical pattern spans
-// len(Values)^N consecutive offsets); partially consumed blocks re-enter
-// the input Gray code directly at the right vector.
+// sweep.
+//
+// Seeking to the offset is cheap. Crasher subsets whose offsets all
+// precede it are skipped in closed form, by a pattern count that depends
+// only on the subset's size. Within the subset holding the offset, whole
+// failure-pattern blocks (len(Values)^N consecutive offsets each) are
+// skipped without materializing the pattern or its input vectors, and a
+// partially consumed block re-enters the input Gray code directly at the
+// right vector. A seek therefore costs O(#subsets) plus at most one
+// subset's canonical patterns, and allocates nothing per skipped pattern.
 func (s Space) From(offset int) iter.Seq2[int, *model.Adversary] {
 	return func(yield func(int, *model.Adversary) bool) {
 		s.deltaFrom(offset, func(idx int, adv *model.Adversary, _ int) bool {
@@ -194,37 +214,33 @@ func (s Space) deltaFrom(offset int, yield func(int, *model.Adversary, int) bool
 		return
 	}
 	block := s.inputCount()
-	seen := make(map[string]struct{})
-	keyBuf := make([]byte, 0, 64)
+	perSize := s.subsetPatterns()
 	var slab advSlab
 	idx := 0
-	s.forEachPattern(func(fp *model.FailurePattern, crashers []model.Proc) bool {
-		// Dedup on the raw pattern's binary fingerprint: it strips
-		// unobservable deliveries during encoding, so it equals the
-		// canonical pattern's fingerprint without building it. The
-		// enumeration hands over the crasher subset already sorted, so
-		// the fingerprint skips its map-collect-and-sort prologue.
-		keyBuf = fp.AppendFingerprintSorted(keyBuf[:0], crashers)
-		if _, dup := seen[string(keyBuf)]; dup {
-			return true
+	s.forEachSubset(func(crashers []model.Proc) bool {
+		// Skip the whole subset when its span of offsets ends at or
+		// before the offset.
+		if rest := offset - idx; rest > 0 {
+			if span := satMul(perSize[len(crashers)], uint64(block)); span <= uint64(rest) {
+				idx += int(span)
+				return true
+			}
 		}
-		seen[string(keyBuf)] = struct{}{}
-		if idx+block <= offset {
-			idx += block // fast-skip: the whole block precedes the offset
-			return true
-		}
-		canon := fp.Canonical()
-		start := 0
-		if idx < offset {
-			start = offset - idx
-		}
-		cont := true
-		s.forEachInputsDeltaFrom(start, func(i int, inputs []model.Value, changed int) bool {
-			cont = yield(idx+i, slab.carve(inputs, canon), changed)
+		return s.forEachConfig(crashers, func(rounds []int, delivered []uint64) bool {
+			if offset-idx >= block {
+				idx += block // the whole block precedes the offset
+				return true
+			}
+			pattern := s.pattern(crashers, rounds, delivered)
+			start := max(offset-idx, 0)
+			cont := true
+			s.forEachInputsDeltaFrom(start, func(i int, inputs []model.Value, changed int) bool {
+				cont = yield(idx+i, slab.carve(inputs, pattern), changed)
+				return cont
+			})
+			idx += block
 			return cont
 		})
-		idx += block
-		return cont
 	})
 }
 
@@ -289,17 +305,14 @@ func (s Space) Adversaries() ([]*model.Adversary, error) {
 	return out, err
 }
 
-// forEachPattern enumerates failure patterns: every subset of processes of
-// size ≤ T, every assignment of crash rounds, every delivery subset. fn
-// additionally receives the crasher subset in increasing order — exactly
-// the pattern's faulty set — so dedup consumers fingerprint without
-// re-collecting it from the pattern's map.
-func (s Space) forEachPattern(fn func(*model.FailurePattern, []model.Proc) bool) {
-	var crashers []model.Proc
+// forEachSubset calls fn with every crasher subset of size ≤ T, in
+// increasing order, each subset before its supersets (depth first: {},
+// {0}, {0,1}, …, {1}, {1,2}, …). The slice is reused between calls.
+func (s Space) forEachSubset(fn func(crashers []model.Proc) bool) {
+	crashers := make([]model.Proc, 0, s.T)
 	var rec func(next int) bool
 	rec = func(next int) bool {
-		// Current subset (possibly empty): enumerate its configurations.
-		if !s.forEachConfig(crashers, fn) {
+		if !fn(crashers) {
 			return false
 		}
 		if len(crashers) == s.T {
@@ -318,61 +331,134 @@ func (s Space) forEachPattern(fn func(*model.FailurePattern, []model.Proc) bool)
 	rec(0)
 }
 
-// forEachConfig enumerates, for a fixed crasher subset, all crash rounds
-// and delivery sets. The pattern handed to fn is mutated in place between
-// calls — its delivery sets included — so fn must not retain it (dedup
-// survivors materialize a Canonical copy).
-func (s Space) forEachConfig(crashers []model.Proc, fn func(*model.FailurePattern, []model.Proc) bool) bool {
-	fp := model.NewFailurePattern(s.N)
-	var rec func(idx int) bool
-	rec = func(idx int) bool {
-		if idx == len(crashers) {
-			return fn(fp, crashers)
+// forEachConfig calls fn with every canonical configuration of a crasher
+// subset: rounds[i] is crashers[i]'s crash round and delivered[i] its
+// crash-round delivery set as a process bitmask. Both slices are reused
+// between calls.
+//
+// The order is lexicographic in (round₀, delivered₀, round₁, …) with
+// rounds ascending from 1 and delivery sets ascending as integers. Two
+// configurations are observably equal exactly when they share the rounds
+// and differ only in deliveries to receivers dead at receipt time — the
+// crashers whose round is ≤ the sender's. Clearing those bits only lowers
+// a delivery set, so the first member of each class in this order is the
+// one without them, and the walk visits exactly those: a delivery set
+// ranges over the submasks of the receivers still alive, and a round is
+// passed over when an earlier crasher of the same or a later round
+// already delivered to this one.
+func (s Space) forEachConfig(crashers []model.Proc, fn func(rounds []int, delivered []uint64) bool) bool {
+	k := len(crashers)
+	rounds := make([]int, k)
+	delivered := make([]uint64, k)
+	everyone := ^uint64(0) >> uint(64-s.N)
+	var rec func(i int) bool
+	rec = func(i int) bool {
+		if i == k {
+			return fn(rounds, delivered)
 		}
-		p := crashers[idx]
-		d := bitset.New(s.N)
-		dw := d.Words()
-		for round := 1; round <= s.MaxRound; round++ {
-			for mask := 0; mask < 1<<uint(s.N-1); mask++ {
-				// The mask enumerates delivery subsets of the other N−1
-				// processes; spreading it around a zero bit at p maps mask
-				// bit b to process b for b < p and to b+1 past it — the
-				// same assignment the per-bit loop over "others" made, as
-				// one word operation when the set is single-word.
-				if len(dw) == 1 {
-					low := uint64(mask) & (1<<uint(p) - 1)
-					dw[0] = low | uint64(mask)>>uint(p)<<uint(p+1)
-				} else {
-					d.Clear()
-					for b := 0; b < s.N-1; b++ {
-						if mask&(1<<uint(b)) != 0 {
-							q := b
-							if b >= p {
-								q = b + 1
-							}
-							d.Add(q)
-						}
-					}
+		self := uint64(1) << uint(crashers[i])
+	nextRound:
+		for r := 1; r <= s.MaxRound; r++ {
+			alive := everyone &^ self
+			for j := 0; j < i; j++ {
+				if rounds[j] <= r {
+					alive &^= 1 << uint(crashers[j])
 				}
-				fp.Crashes[p] = model.Crash{Round: round, Delivered: d}
-				if !rec(idx + 1) {
+				if rounds[j] >= r && delivered[j]&self != 0 {
+					continue nextRound
+				}
+			}
+			rounds[i] = r
+			for d := uint64(0); ; d = ((d | ^alive) + 1) & alive {
+				delivered[i] = d
+				if !rec(i + 1) {
 					return false
+				}
+				if d == alive {
+					break
 				}
 			}
 		}
-		delete(fp.Crashes, p)
 		return true
 	}
 	return rec(0)
 }
 
-// forEachInputsFrom enumerates input vectors over s.Values beginning at
-// the start-th vector, calling fn with each vector's index within the
-// block. It is forEachInputsDeltaFrom with the changed index discarded.
-func (s Space) forEachInputsFrom(start int, fn func(int, []model.Value) bool) bool {
-	return s.forEachInputsDeltaFrom(start, func(i int, inputs []model.Value, _ int) bool {
-		return fn(i, inputs)
-	})
+// pattern materializes one configuration of forEachConfig as a failure
+// pattern; the delivery sets share one backing array.
+func (s Space) pattern(crashers []model.Proc, rounds []int, delivered []uint64) *model.FailurePattern {
+	fp := model.NewFailurePattern(s.N)
+	words := append([]uint64(nil), delivered...)
+	sets := make([]bitset.Set, len(crashers))
+	for i, p := range crashers {
+		sets[i] = bitset.Wrap(words[i : i+1])
+		fp.Crashes[p] = model.Crash{Round: rounds[i], Delivered: &sets[i]}
+	}
+	return fp
+}
+
+// subsetPatterns returns, for every subset size k ≤ T, how many canonical
+// configurations forEachConfig yields for one subset of that size. The
+// count depends only on k: a crasher of round r may deliver to any of the
+// N − S_r processes outside the crashers of round ≤ r (S_r of them, itself
+// included), so the count is the sum over round assignments of
+// Π 2^(N − S_r). Grouping the assignments by how many crashers each round
+// takes turns that sum into a dynamic program over rounds. The counts
+// saturate at math.MaxUint64 instead of wrapping, so a space too large to
+// walk never skips a wrong span.
+func (s Space) subsetPatterns() []uint64 {
+	binom := make([][]uint64, s.T+1) // binom[n][c] = C(n, c)
+	for n := range binom {
+		binom[n] = make([]uint64, n+1)
+		binom[n][0], binom[n][n] = 1, 1
+		for c := 1; c < n; c++ {
+			binom[n][c] = satAdd(binom[n-1][c-1], binom[n-1][c])
+		}
+	}
+	counts := make([]uint64, s.T+1)
+	ways := make([]uint64, s.T+1)
+	for k := range counts {
+		// ways[m]: weighted assignments of the rounds seen so far to m of
+		// the k crashers. Giving round r to c more crashers, m in all,
+		// picks them among the k−m+c unassigned and lets each deliver to
+		// N − m processes.
+		clear(ways)
+		ways[0] = 1
+		for r := 1; r <= s.MaxRound; r++ {
+			for m := k; m > 0; m-- {
+				for c := 1; c <= m; c++ {
+					term := satMul(ways[m-c], binom[k-m+c][c])
+					ways[m] = satAdd(ways[m], satMul(term, pow2(c*(s.N-m))))
+				}
+			}
+		}
+		counts[k] = ways[k]
+	}
+	return counts
+}
+
+// pow2 returns 2^e, saturating at math.MaxUint64.
+func pow2(e int) uint64 {
+	if e >= 64 {
+		return math.MaxUint64
+	}
+	return 1 << uint(e)
+}
+
+func satAdd(a, b uint64) uint64 {
+	sum, carry := bits.Add64(a, b, 0)
+	if carry != 0 {
+		return math.MaxUint64
+	}
+	return sum
+}
+
+func satMul(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	if hi != 0 {
+		return math.MaxUint64
+	}
+	return lo
 }
 
 // forEachInputsDeltaFrom enumerates input vectors over s.Values beginning

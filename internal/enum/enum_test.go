@@ -16,6 +16,7 @@ func TestValidate(t *testing.T) {
 		{N: 3, T: 3, MaxRound: 1, Values: []model.Value{0}},
 		{N: 3, T: 1, MaxRound: 0, Values: []model.Value{0}},
 		{N: 3, T: 1, MaxRound: 1, Values: nil},
+		{N: 65, T: 1, MaxRound: 1, Values: []model.Value{0}},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("space %+v must be invalid", bad)

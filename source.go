@@ -197,13 +197,16 @@ func (s *sliceSource) Seq() iter.Seq[*Adversary] {
 }
 
 // spaceSource streams an exhaustive enum.Space without materializing it.
+// The enumeration holds O(1) dedup state and is offset-addressable:
+// SeqRange windows seek past whole crasher subsets in closed form, so a
+// window deep in the space costs about as much as one at its start.
 type spaceSource struct{ space Space }
 
 // SpaceSource wraps an exhaustive adversary space as a Source. The
-// stream is the canonical enumeration of Space.All; its length is
-// unknown up front (canonical deduplication happens during the walk), so
-// Count reports unknown and Space.CountUpperBound remains the guard
-// against accidentally huge spaces.
+// stream is the canonical enumeration of Space.All; its length is not
+// reported up front, so Count reports unknown and
+// Space.CountUpperBound remains the guard against accidentally huge
+// spaces.
 func SpaceSource(s Space) (Source, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -232,7 +235,7 @@ func (s *spaceSource) PatternBlock() int { return s.space.PatternBlock() }
 // SeqRange resumes the canonical enumeration at offset and yields at
 // most limit adversaries (enum.Space.Range) — the RangeSeq refinement
 // that lets coordinated sweeps shard one exhaustive space into offset
-// windows without each worker walking the prefix's input vectors.
+// windows without each worker walking the prefix.
 func (s *spaceSource) SeqRange(offset, limit int) iter.Seq[*Adversary] {
 	return func(yield func(*Adversary) bool) {
 		for _, a := range s.space.Range(offset, limit) {
