@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -76,21 +77,6 @@ type checkpoint struct {
 	Pending   []checkpointPending `json:"pending"`
 }
 
-// sealCheckpoint embeds the checksum and returns the final blob.
-func sealCheckpoint(cp *checkpoint) ([]byte, error) {
-	cp.Checksum = ""
-	bare, err := json.Marshal(cp)
-	if err != nil {
-		return nil, fmt.Errorf("coord: marshaling checkpoint: %w", err)
-	}
-	cp.Checksum = fmt.Sprintf("%08x", crc32.ChecksumIEEE(bare))
-	blob, err := json.Marshal(cp)
-	if err != nil {
-		return nil, fmt.Errorf("coord: marshaling checkpoint: %w", err)
-	}
-	return blob, nil
-}
-
 // atomicWrite writes blob to path via a same-directory temp file and
 // rename, so readers never observe a partial file.
 func atomicWrite(path string, blob []byte) error {
@@ -115,85 +101,155 @@ func atomicWrite(path string, blob []byte) error {
 	return nil
 }
 
-// writeCheckpointLocked seals the current state — marshal with an
-// embedded checksum — and persists it: through Run's background writer
-// while one is active, directly otherwise. No-op without a configured
-// path.
-func (c *Coordinator) writeCheckpointLocked() error {
-	if c.params.CheckpointPath == "" {
-		return nil
+// checkpointState is one sealed coordinator state. The header fields
+// and the sorted pending list are captured by value; the done ranges
+// are their cached encodings in offset order, so capturing a state
+// costs O(#done) slice copies and no encoding.
+type checkpointState struct {
+	head checkpoint // Done is empty: the ranges are in done
+	done [][]byte   // one checkpointDone JSON per done range
+}
+
+// checksumField is the sealed file's checksum member, with the digits
+// left as zeros until the bare form's CRC is known.
+const checksumField = `"checksum":"00000000",`
+
+// appendSealed appends the sealed file to buf and returns it. The bytes
+// are exactly those of marshaling the whole checkpoint twice — once
+// bare (Checksum empty, hence omitted) and once with the bare form's
+// CRC-32 embedded — but only the small header and pending list are
+// marshaled here: the done ranges are spliced in from their cached
+// encodings.
+func (st *checkpointState) appendSealed(buf []byte) ([]byte, error) {
+	shell, err := json.Marshal(&st.head)
+	if err != nil {
+		return nil, fmt.Errorf("coord: marshaling checkpoint: %w", err)
 	}
-	cp := checkpoint{
-		Version:   checkpointVersion,
-		Workload:  c.workload,
-		Refs:      c.refs,
-		RangeSize: c.params.RangeSize,
-		Next:      c.next,
-		Exhausted: c.exhausted,
-		End:       c.end,
-		Done:      make([]checkpointDone, 0, len(c.done)),
-		Pending:   make([]checkpointPending, 0, len(c.pending)+len(c.leased)),
+	// shell is {"version":V,<header>"done":[],"pending":[...]}. The
+	// version is an integer and the pending list holds no strings, so the
+	// first comma and the last `],"pending":` are the two cut points.
+	version := bytes.IndexByte(shell, ',') + 1
+	pending := bytes.LastIndex(shell, []byte(`],"pending":`))
+	start := len(buf)
+	buf = append(buf, shell[:version]...)
+	sumAt := len(buf)
+	buf = append(buf, checksumField...)
+	rest := len(buf)
+	buf = append(buf, shell[version:pending]...)
+	for i, d := range st.done {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, d...)
 	}
-	offs := make([]int, 0, len(c.done))
-	for off := range c.done {
-		offs = append(offs, off)
+	buf = append(buf, shell[pending:]...)
+	crc := crc32.Update(crc32.ChecksumIEEE(buf[start:sumAt]), crc32.IEEETable, buf[rest:])
+	digits := sumAt + len(`"checksum":"`)
+	copy(buf[digits:digits+8], fmt.Sprintf("%08x", crc))
+	return buf, nil
+}
+
+// snapshotLocked captures the current state for sealing. A done range
+// is encoded the first time it is sealed and the encoding is kept: a
+// completed range never changes.
+func (c *Coordinator) snapshotLocked() (*checkpointState, error) {
+	st := &checkpointState{
+		head: checkpoint{
+			Version:   checkpointVersion,
+			Workload:  c.workload,
+			Refs:      c.refs,
+			RangeSize: c.params.RangeSize,
+			Next:      c.next,
+			Exhausted: c.exhausted,
+			End:       c.end,
+			Done:      []checkpointDone{},
+			Pending:   make([]checkpointPending, 0, len(c.pending)+len(c.leased)),
+		},
+		done: make([][]byte, len(c.done)),
 	}
-	sort.Ints(offs)
-	for _, off := range offs {
-		d := c.done[off]
-		cp.Done = append(cp.Done, checkpointDone{Range: d.Range, Count: d.Count, Summary: d.Summary})
+	for i, d := range c.done {
+		if d.enc == nil {
+			enc, err := json.Marshal(checkpointDone{Range: d.Range, Count: d.Count, Summary: d.Summary})
+			if err != nil {
+				return nil, fmt.Errorf("coord: marshaling checkpoint: %w", err)
+			}
+			d.enc = enc
+		}
+		st.done[i] = d.enc
 	}
 	// Outstanding = queued + leased: a lease does not survive the
 	// process, so it checkpoints as pending work.
 	for _, rs := range c.pending {
-		cp.Pending = append(cp.Pending, checkpointPending{Range: rs.Range, Attempts: rs.attempts})
+		st.head.Pending = append(st.head.Pending, checkpointPending{Range: rs.Range, Attempts: rs.attempts})
 	}
 	for _, rs := range c.leased {
-		cp.Pending = append(cp.Pending, checkpointPending{Range: rs.Range, Attempts: rs.attempts})
+		st.head.Pending = append(st.head.Pending, checkpointPending{Range: rs.Range, Attempts: rs.attempts})
 	}
-	sort.Slice(cp.Pending, func(i, j int) bool { return cp.Pending[i].Offset < cp.Pending[j].Offset })
+	sort.Slice(st.head.Pending, func(i, j int) bool { return st.head.Pending[i].Offset < st.head.Pending[j].Offset })
+	return st, nil
+}
 
-	blob, err := sealCheckpoint(&cp)
+// writeCheckpointLocked seals the current state and persists it:
+// through Run's background writer while one is active, directly
+// otherwise. No-op without a configured path.
+func (c *Coordinator) writeCheckpointLocked() error {
+	if c.params.CheckpointPath == "" {
+		return nil
+	}
+	st, err := c.snapshotLocked()
 	if err != nil {
 		return err
 	}
 	if c.ckptWake != nil {
-		c.ckptNext = blob
+		if c.ckptNext != nil {
+			c.statCkptSuperse++
+		}
+		c.ckptNext = st
 		select {
 		case c.ckptWake <- struct{}{}:
 		default: // the writer is already due to wake
 		}
 		return nil
 	}
-	return c.persistCheckpoint(blob)
+	c.statCkptWrites++
+	_, err = c.persistCheckpoint(st, nil)
+	return err
 }
 
-// persistCheckpoint atomically replaces the primary with blob, then
-// refreshes the .bak with the same bytes. Because the .bak is only ever
-// written with a sealed blob, it always holds the last good state even
-// if the primary is later torn.
-func (c *Coordinator) persistCheckpoint(blob []byte) error {
+// persistCheckpoint assembles st into buf (reusing its capacity),
+// atomically replaces the primary with it, then refreshes the .bak with
+// the same bytes, and returns the buffer for the caller's next write.
+// Because the .bak is only ever written with a sealed blob, it always
+// holds the last good state even if the primary is later torn.
+func (c *Coordinator) persistCheckpoint(st *checkpointState, buf []byte) ([]byte, error) {
+	blob, err := st.appendSealed(buf[:0])
+	if err != nil {
+		return buf, err
+	}
 	if fire, _ := chaos.Fire(c.params.Chaos, chaos.PointTornCheckpoint); fire {
 		// Injected torn write: half the blob lands on the primary with no
 		// atomic rename and no .bak refresh — the failure the checksum
 		// and .bak fallback exist to absorb. The write "succeeds" from
 		// the coordinator's point of view, exactly like a real torn write
 		// under power loss.
-		return os.WriteFile(c.params.CheckpointPath, blob[:len(blob)/2], 0o644)
+		return blob, os.WriteFile(c.params.CheckpointPath, blob[:len(blob)/2], 0o644)
 	}
 	if err := atomicWrite(c.params.CheckpointPath, blob); err != nil {
-		return err
+		return blob, err
 	}
-	return atomicWrite(c.params.CheckpointPath+bakSuffix, blob)
+	return blob, atomicWrite(c.params.CheckpointPath+bakSuffix, blob)
 }
 
 // checkpointWriter is Run's background checkpoint writer. Each wake it
-// persists the newest sealed blob; states sealed while a write is in
-// flight are superseded by the next one rather than queued, so a slow
-// disk skips intermediate states instead of stalling completions (and
-// the coordinator lock) behind file I/O. Once stop closes it persists
-// whatever is left and returns. A failed write is fatal to the run.
+// persists the newest sealed state; states sealed while a write is in
+// flight are superseded by the next one rather than queued (and never
+// assembled), so a slow disk skips intermediate states instead of
+// stalling completions (and the coordinator lock) behind file I/O. Once
+// stop closes it persists whatever is left and returns. A failed write
+// is fatal to the run. The writer owns one assembly buffer, reused
+// across its writes.
 func (c *Coordinator) checkpointWriter(wake, stop <-chan struct{}) {
+	var buf []byte
 	for {
 		stopped := false
 		select {
@@ -202,11 +258,15 @@ func (c *Coordinator) checkpointWriter(wake, stop <-chan struct{}) {
 			stopped = true
 		}
 		c.mu.Lock()
-		blob := c.ckptNext
+		st := c.ckptNext
 		c.ckptNext = nil
+		if st != nil {
+			c.statCkptWrites++
+		}
 		c.mu.Unlock()
-		if blob != nil {
-			if err := c.persistCheckpoint(blob); err != nil {
+		if st != nil {
+			var err error
+			if buf, err = c.persistCheckpoint(st, buf); err != nil {
 				c.mu.Lock()
 				if c.fatal == nil {
 					c.fatal = err
@@ -257,12 +317,85 @@ func (c *Coordinator) readCheckpoint(path string) (*checkpoint, error) {
 	if cp.RangeSize != c.params.RangeSize {
 		return nil, fmt.Errorf("%w: %s uses range size %d, not %d", ErrCheckpointMismatch, path, cp.RangeSize, c.params.RangeSize)
 	}
-	for i := range cp.Done {
-		if cp.Done[i].Summary == nil {
-			return nil, fmt.Errorf("%w: %s: done range %s has no summary", ErrCheckpointCorrupt, path, cp.Done[i].Range)
-		}
+	if err := c.checkContent(&cp); err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrCheckpointCorrupt, path, err)
 	}
 	return &cp, nil
+}
+
+// checkContent rejects a checkpoint whose checksum holds but whose
+// content the coordinator cannot resume from: a frontier or range off
+// the range grid, a range recorded twice or past the frontier, an end
+// past the frontier, and a done summary with a missing row, a foreign
+// ref, or a count its runs disagree with. A checkpoint this package
+// wrote never trips these; a hand-edited or hostile one fails typed
+// instead of panicking or wedging the sweep.
+func (c *Coordinator) checkContent(cp *checkpoint) error {
+	size := c.params.RangeSize
+	if cp.Next < 0 || cp.Next%size != 0 {
+		return fmt.Errorf("frontier %d is not a range boundary", cp.Next)
+	}
+	if cp.Exhausted && (cp.End < 0 || cp.End > cp.Next) || !cp.Exhausted && cp.End != 0 {
+		return fmt.Errorf("end %d (exhausted=%v) does not fit frontier %d", cp.End, cp.Exhausted, cp.Next)
+	}
+	minted := func(r Range) error {
+		if r.Offset < 0 || r.Offset%size != 0 || r.Offset >= cp.Next || r.Limit != size {
+			return fmt.Errorf("range %s was never minted", r)
+		}
+		return nil
+	}
+	refs := make(map[string]bool, len(c.refs))
+	for _, ref := range c.refs {
+		refs[ref] = true
+	}
+	seen := make(map[int]bool, len(cp.Done))
+	for _, d := range cp.Done {
+		if err := minted(d.Range); err != nil {
+			return err
+		}
+		if seen[d.Offset] {
+			return fmt.Errorf("range %s is done twice", d.Range)
+		}
+		seen[d.Offset] = true
+		if err := checkRows(d.Summary, refs); err != nil {
+			return fmt.Errorf("done range %s: %v", d.Range, err)
+		}
+		if d.Count < 0 || d.Count > d.Limit || d.Count != d.Summary.Adversaries() {
+			return fmt.Errorf("done range %s claims %d adversaries, its summary %d", d.Range, d.Count, d.Summary.Adversaries())
+		}
+	}
+	clear(seen)
+	for _, p := range cp.Pending {
+		if err := minted(p.Range); err != nil {
+			return err
+		}
+		if seen[p.Offset] {
+			return fmt.Errorf("range %s is pending twice", p.Range)
+		}
+		seen[p.Offset] = true
+	}
+	return nil
+}
+
+// checkRows requires one non-null row per coordinator ref.
+func checkRows(s *setconsensus.Summary, refs map[string]bool) error {
+	if s == nil {
+		return errors.New("no summary")
+	}
+	if len(s.Protocols) != len(refs) {
+		return fmt.Errorf("%d protocol rows, want %d", len(s.Protocols), len(refs))
+	}
+	seen := make(map[string]bool, len(refs))
+	for _, row := range s.Protocols {
+		if row == nil {
+			return errors.New("null protocol row")
+		}
+		if !refs[row.Ref] || seen[row.Ref] {
+			return fmt.Errorf("unexpected protocol row %q", row.Ref)
+		}
+		seen[row.Ref] = true
+	}
+	return nil
 }
 
 // loadCheckpoint resumes the coordinator from path. A missing file is a
@@ -301,22 +434,23 @@ func (c *Coordinator) loadCheckpoint(path string) error {
 }
 
 // applyCheckpoint installs a validated checkpoint as the coordinator's
-// starting state.
+// starting state. Checkpoints of earlier releases may record an empty
+// range past the end; like a live empty completion, it is not kept.
 func (c *Coordinator) applyCheckpoint(cp *checkpoint) {
 	c.next = cp.Next
-	c.exhausted = cp.Exhausted
-	c.end = cp.End
 	for i := range cp.Done {
-		d := cp.Done[i]
-		c.done[d.Offset] = &doneRange{Range: d.Range, Count: d.Count, Summary: d.Summary}
-		c.doneAdv += d.Count
-		c.doneRuns += d.Summary.Runs()
+		if d := &cp.Done[i]; d.Count > 0 {
+			c.addDoneLocked(&doneRange{Range: d.Range, Count: d.Count, Summary: d.Summary})
+		}
 	}
 	for _, p := range cp.Pending {
-		if _, dup := c.done[p.Offset]; dup {
+		if c.doneAt(p.Offset) != nil {
 			continue
 		}
 		c.pending = append(c.pending, &rangeState{Range: p.Range, attempts: p.Attempts})
+	}
+	if cp.Exhausted {
+		c.setEndLocked(cp.End)
 	}
 }
 

@@ -26,11 +26,14 @@
 // writes the newest sealed one atomically (temp file + rename), so a
 // completion never waits on the disk and a state sealed while a write
 // is in flight supersedes its predecessor instead of queueing behind
-// it. Checkpoints carry an embedded checksum and keep a .bak of the
-// last good file, so a SIGKILL — or a torn write — at any instant
-// leaves a loadable state, at most the write in flight behind (its
-// ranges are swept again on resume). Run returns only once the final
-// state is on disk.
+// it. A completed range never changes, so its JSON is encoded once and
+// cached: over a sweep, sealing costs one encode per range plus O(#done)
+// slice copies per seal, and the writer splices the cached encodings
+// into the file — nothing is re-marshaled. Checkpoints carry an
+// embedded checksum and keep a .bak of the last good file, so a
+// SIGKILL — or a torn write — at any instant leaves a loadable state,
+// at most the write in flight behind (its ranges are swept again on
+// resume). Run returns only once the final state is on disk.
 //
 // Resume is New with a CheckpointPath whose file exists: the
 // coordinator validates the checksum (falling back to the .bak when the
@@ -58,12 +61,13 @@
 package coord
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"expvar"
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,6 +140,9 @@ type Params struct {
 	// loaded on New when it exists (resume) and rewritten atomically
 	// after range completions (the newest state at each write, and the
 	// final one before Run returns), with a .bak of the last good state.
+	// Each completed range is encoded once; a seal then costs O(#done)
+	// slice copies under the coordinator lock, and the writer splices
+	// the cached encodings into the file without re-marshaling them.
 	CheckpointPath string
 	// ProgressInterval throttles the aggregated progress feed.
 	ProgressInterval time.Duration
@@ -213,11 +220,14 @@ type rangeState struct {
 }
 
 // doneRange is one completed range: its summary and the adversary count
-// it actually contained (short count = the space ended inside it).
+// it actually contained (short count = the space ended inside it). A
+// range that came back empty lies past the end of the space and is
+// never recorded.
 type doneRange struct {
 	Range
 	Count   int
 	Summary *setconsensus.Summary
+	enc     []byte // checkpointDone JSON, encoded at the first seal
 }
 
 // breakerState is the lifecycle of one worker's circuit breaker:
@@ -252,7 +262,7 @@ type Coordinator struct {
 	end       int                 // space size, valid once exhausted
 	pending   []*rangeState       // claimable (possibly backoff-delayed), any order
 	leased    map[int]*rangeState // offset → outstanding lease
-	done      map[int]*doneRange  // offset → completed range
+	done      []*doneRange        // completed ranges, ascending offset
 	breakers  map[string]*breaker // worker name → circuit breaker
 	doneAdv   int                 // adversaries across done ranges
 	doneRuns  int                 // runs across done ranges
@@ -269,12 +279,14 @@ type Coordinator struct {
 	statTrips       int64 // breaker transitions into quarantine
 	statProbations  int64 // probation trial ranges granted
 	statCkptFallbak int64 // checkpoint loads served from the .bak
+	statCkptWrites  int64 // sealed states handed to the disk
+	statCkptSuperse int64 // sealed states replaced before the writer woke
 
 	// While Run's checkpoint writer is active, writeCheckpointLocked
-	// leaves the sealed blob in ckptNext and signals ckptWake (nil
-	// otherwise, when it writes the blob itself).
+	// leaves the sealed state in ckptNext and signals ckptWake (nil
+	// otherwise, when it writes the state itself).
 	ckptWake chan struct{}
-	ckptNext []byte
+	ckptNext *checkpointState
 }
 
 // New builds a coordinator for one workload. workload is both the
@@ -299,7 +311,6 @@ func New(workload string, refs []string, p Params) (*Coordinator, error) {
 		workload: workload,
 		refs:     append([]string(nil), refs...),
 		leased:   make(map[int]*rangeState),
-		done:     make(map[int]*doneRange),
 		breakers: make(map[string]*breaker),
 	}
 	if p.CheckpointPath != "" {
@@ -341,6 +352,13 @@ type Stats struct {
 	// CheckpointFallbacks counts checkpoint loads served from the .bak
 	// after a corrupt or truncated primary.
 	CheckpointFallbacks int64 `json:"checkpointFallbacks"`
+	// CheckpointWrites counts sealed states written to disk (injected
+	// torn writes included).
+	CheckpointWrites int64 `json:"checkpointWrites"`
+	// CheckpointsSuperseded counts sealed states the background writer
+	// skipped because a newer one was sealed before it woke. Every seal
+	// is either written or superseded.
+	CheckpointsSuperseded int64 `json:"checkpointsSuperseded"`
 	// FaultsInjected totals the chaos injector's fired faults, when one
 	// is configured and countable.
 	FaultsInjected int64 `json:"faultsInjected"`
@@ -351,14 +369,16 @@ func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := Stats{
-		RangesDone:          int64(len(c.done)),
-		RangeRetries:        c.statRetries,
-		AttemptsRefunded:    c.statRefunds,
-		OverloadBackoffs:    c.statOverloads,
-		LeaseExpiries:       c.statExpiries,
-		BreakerTrips:        c.statTrips,
-		ProbationGrants:     c.statProbations,
-		CheckpointFallbacks: c.statCkptFallbak,
+		RangesDone:            int64(len(c.done)),
+		RangeRetries:          c.statRetries,
+		AttemptsRefunded:      c.statRefunds,
+		OverloadBackoffs:      c.statOverloads,
+		LeaseExpiries:         c.statExpiries,
+		BreakerTrips:          c.statTrips,
+		ProbationGrants:       c.statProbations,
+		CheckpointFallbacks:   c.statCkptFallbak,
+		CheckpointWrites:      c.statCkptWrites,
+		CheckpointsSuperseded: c.statCkptSuperse,
 	}
 	for _, b := range c.breakers {
 		if b.state != breakerClosed {
@@ -625,7 +645,7 @@ func (c *Coordinator) complete(ctx context.Context, worker string, rs *rangeStat
 		if cur, ok := c.leased[off]; !ok || cur.worker != worker {
 			return
 		}
-		if _, ok := c.done[off]; ok {
+		if c.doneAt(off) != nil {
 			return
 		}
 		now := time.Now()
@@ -666,27 +686,17 @@ func (c *Coordinator) complete(ctx context.Context, worker string, rs *rangeStat
 	}
 
 	c.noteWorkerSuccessLocked(worker)
-	if _, dup := c.done[off]; dup {
+	if c.doneAt(off) != nil {
 		return // duplicate completion after a re-issue: first result won
 	}
 	delete(c.leased, off)
 	c.dropPendingLocked(off)
 	count := sum.Adversaries()
-	c.done[off] = &doneRange{Range: rs.Range, Count: count, Summary: sum}
-	c.doneAdv += count
-	c.doneRuns += sum.Runs()
 	if count < rs.Limit && (!c.exhausted || off+count < c.end) {
-		// The space ended inside this range: stop minting and drop pending
-		// ranges that lie wholly past the end (they could only be empty).
-		c.exhausted = true
-		c.end = off + count
-		kept := c.pending[:0]
-		for _, p := range c.pending {
-			if p.Offset < c.end {
-				kept = append(kept, p)
-			}
-		}
-		c.pending = kept
+		c.setEndLocked(off + count) // the space ended inside this range
+	}
+	if count > 0 {
+		c.addDoneLocked(&doneRange{Range: rs.Range, Count: count, Summary: sum})
 	}
 	if werr := c.writeCheckpointLocked(); werr != nil && c.fatal == nil {
 		c.fatal = werr
@@ -696,6 +706,55 @@ func (c *Coordinator) complete(ctx context.Context, worker string, rs *rangeStat
 		return
 	}
 	c.emitProgressLocked(true)
+}
+
+// setEndLocked pins the end of the space: minting stops, pending ranges
+// and leases wholly past the end are dropped (they could only come back
+// empty), and the frontier moves to the first range boundary at or past
+// the end. Every outstanding range then lies below the frontier, so each
+// later checkpoint stays loadable; together with empty ranges never
+// being recorded, this keeps the final checkpoint independent of how
+// many ranges past the end were minted before the end was known. A
+// worker still sweeping a dropped lease completes it as a no-op.
+func (c *Coordinator) setEndLocked(end int) {
+	c.exhausted = true
+	c.end = end
+	size := c.params.RangeSize
+	c.next = (end + size - 1) / size * size
+	kept := c.pending[:0]
+	for _, p := range c.pending {
+		if p.Offset < end {
+			kept = append(kept, p)
+		}
+	}
+	c.pending = kept
+	for off := range c.leased {
+		if off >= end {
+			delete(c.leased, off)
+		}
+	}
+}
+
+// doneAt returns the completed range at offset off, or nil.
+func (c *Coordinator) doneAt(off int) *doneRange {
+	if i, ok := c.doneIndex(off); ok {
+		return c.done[i]
+	}
+	return nil
+}
+
+// doneIndex returns where offset off sits, or would sit, in the done
+// list, and whether a range is there.
+func (c *Coordinator) doneIndex(off int) (int, bool) {
+	return slices.BinarySearchFunc(c.done, off, func(d *doneRange, off int) int { return cmp.Compare(d.Offset, off) })
+}
+
+// addDoneLocked records one completed range in offset order.
+func (c *Coordinator) addDoneLocked(d *doneRange) {
+	i, _ := c.doneIndex(d.Offset)
+	c.done = slices.Insert(c.done, i, d)
+	c.doneAdv += d.Count
+	c.doneRuns += d.Summary.Runs()
 }
 
 // dropPendingLocked removes any queued re-issue of offset off.
@@ -846,8 +905,8 @@ func (c *Coordinator) mergedLocked() (*setconsensus.Summary, error) {
 		return nil, fmt.Errorf("coord: sweep finished without observing the end of the space")
 	}
 	for off := 0; off < c.end; off += c.params.RangeSize {
-		d, ok := c.done[off]
-		if !ok {
+		d := c.doneAt(off)
+		if d == nil {
 			return nil, fmt.Errorf("coord: range at offset %d missing from completed set", off)
 		}
 		want := c.end - off
@@ -858,15 +917,10 @@ func (c *Coordinator) mergedLocked() (*setconsensus.Summary, error) {
 			return nil, fmt.Errorf("coord: range %s yielded %d adversaries, want %d", d.Range, d.Count, want)
 		}
 	}
-	offs := make([]int, 0, len(c.done))
-	for off := range c.done {
-		offs = append(offs, off)
-	}
-	sort.Ints(offs)
 	merged := agg.New(c.workload, c.refs)
-	for _, off := range offs {
-		if err := merged.Merge(c.done[off].Summary); err != nil {
-			return nil, fmt.Errorf("coord: merging range at offset %d: %w", off, err)
+	for _, d := range c.done {
+		if err := merged.Merge(d.Summary); err != nil {
+			return nil, fmt.Errorf("coord: merging range at offset %d: %w", d.Offset, err)
 		}
 	}
 	return merged, nil
