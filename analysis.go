@@ -3,6 +3,8 @@ package setconsensus
 import (
 	"context"
 	"fmt"
+	"math"
+	"sync/atomic"
 
 	"setconsensus/internal/enum"
 	"setconsensus/internal/experiments"
@@ -17,11 +19,11 @@ import (
 // machinery — the bounded deviation search and the Lemma 1/2/3
 // certificate constructions — as named, parameterized analysis families
 // on the same engine plumbing. Run compilation goes through the pooled
-// Backend.RunInto path with a recycled knowledge Builder arena, candidate
-// testing and certificate construction shard across the configured
-// worker pool, progress streams like SweepSourceStream, and the outcome
-// is a structured AnalysisReport whose fields are identical at any
-// parallelism.
+// Backend.RunInto path with a recycled knowledge Builder arena per
+// worker; compile windows, candidate testing and certificate
+// construction shard across the configured worker pool; progress
+// streams like SweepSourceStream; and the outcome is a structured
+// AnalysisReport whose fields are identical at any parallelism.
 
 // AnalysisRun executes one parsed analysis on an engine. The progress
 // callback may be nil; when set, it receives serialized, throttled stage
@@ -101,10 +103,12 @@ func (r *AnalysisRegistry) Parse(ref string) (AnalysisRun, error) {
 }
 
 // Analyze resolves ref in the engine's analysis registry and runs it to
-// completion: compile on the pooled run path, then candidate testing or
-// certificate construction sharded over the engine's worker pool. The
-// report is deterministic in the analysis configuration alone —
-// Parallelism changes wall-clock, never a field.
+// completion: compile on the pooled run path, with the engine's worker
+// pool compiling block-aligned windows of the space into segments that
+// merge back in offset order, then candidate testing or certificate
+// construction sharded over the same pool. The report is deterministic
+// in the analysis configuration alone — Parallelism changes wall-clock,
+// never a field.
 func (e *Engine) Analyze(ctx context.Context, ref string) (*AnalysisReport, error) {
 	return e.AnalyzeStream(ctx, ref, nil)
 }
@@ -185,9 +189,9 @@ func searchAnalysisSpec(name string, aliases []string, baseRef string, uniform b
 
 // runSearchAnalysis executes one deviation-search family end to end:
 // compile every run of the exhaustive space through the pooled
-// Backend.RunInto / Builder revive path, then shard the candidate tests
-// across the worker pool.
-func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, cfg searchConfig, progress func(AnalysisProgress)) (rep *AnalysisReport, err error) {
+// Backend.RunInto / Builder revive path (compileSpace), then shard the
+// candidate tests across the worker pool.
+func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, cfg searchConfig, progress func(AnalysisProgress)) (*AnalysisReport, error) {
 	if e.backend.Kind() != Oracle {
 		return nil, fmt.Errorf("engine: analysis %q simulates full-information deviation rules and requires the Oracle backend (have %s)",
 			family, e.backend.Kind())
@@ -203,6 +207,9 @@ func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, 
 	vLo, vHi := cfg.vLo, cfg.vHi
 	if vHi < vLo {
 		vLo, vHi = 0, k
+	}
+	if err := checkValueRange(vLo, vHi); err != nil {
+		return nil, fmt.Errorf("engine: analysis %q: %w", family, err)
 	}
 	p := Params{N: cfg.n, T: cfg.t, K: k}
 	if err := p.Validate(); err != nil {
@@ -228,33 +235,15 @@ func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, 
 		return nil, ent.err
 	}
 
-	// Compile stage: one pooled run per adversary, graphs rebuilt in the
+	// Compile stage: one pooled run per adversary, graphs rebuilt in a
 	// worker kit's recycled Builder arena (same-pattern blocks revive)
-	// and released as soon as the run is interned. The space size is
-	// unknown up front, so snapshots carry Total 0 until Finish closes
-	// the stage.
+	// and released as soon as the run is interned. Snapshots carry
+	// Total 0 until Finish closes the stage.
 	sink := unbeat.NewProgressSink(progress)
 	sink.Stage("compile", 0)
-	kit := e.getKit()
-	// Panic isolation for the compile stage: protocol code runs here in
-	// the calling goroutine, so a panic is converted into a typed
-	// analysis failure and the kit — possibly mid-mutation — is
-	// discarded instead of repooled.
-	defer func() {
-		if pe := govern.Recovered("engine: analysis compile", recover()); pe != nil {
-			rep, err = nil, pe
-			e.discardKit(kit)
-			return
-		}
-		e.putKit(kit)
-	}()
-	req := &kit.buf.req
-	var aerr error
-	err = space.ForEach(func(adv *model.Adversary) bool {
-		if aerr = ctx.Err(); aerr != nil {
-			return false
-		}
+	if err := e.compileSpace(ctx, comp, space, func(ctx context.Context, kit *runKit, c *unbeat.Compiler, adv *model.Adversary) error {
 		g := kit.builder.Build(adv, comp.Horizon())
+		req := &kit.buf.req
 		*req = RunRequest{
 			Ref: baseRef, Spec: spec,
 			Proto: ent.proto, ProtoErr: ent.err, Name: ent.name,
@@ -262,19 +251,14 @@ func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, 
 		}
 		res, err := e.backend.RunInto(ctx, req, kit.buf)
 		if err != nil {
-			aerr = err
 			g.Release()
-			return false
+			return err
 		}
-		comp.Add(adv, g, res.Decisions)
+		c.Add(adv, g, res.Decisions)
 		g.Release()
 		sink.Bump()
-		return true
-	})
-	if aerr != nil {
-		return nil, aerr
-	}
-	if err != nil {
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	sink.Finish()
@@ -291,6 +275,94 @@ func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, 
 		N: cfg.n, T: cfg.t, K: k,
 		Search: srep,
 	}, nil
+}
+
+// minCompileWindow is the smallest window of the space a compile
+// worker claims. Each window costs a view table of its own, whose views
+// the merge re-interns, so small windows would spend on bookkeeping
+// what they gain in parallelism.
+const minCompileWindow = 4096
+
+// compileWindows cuts a space of count adversaries for workers compile
+// workers. A window is a quarter of one worker's share, at least
+// minCompileWindow, rounded up to a multiple of the pattern block so
+// that every window starts a fresh failure pattern, where the builder
+// and the compiler's delta reuse restart anyway. A single worker, or a
+// space under two windows, gets one window: the whole space.
+func compileWindows(count, workers, block int) (size, windows int) {
+	size = max(count/(workers*4), minCompileWindow)
+	if block > 1 {
+		size += (block - size%block) % block
+	}
+	if workers <= 1 || count/size < 2 {
+		return count, 1
+	}
+	windows = count / size
+	if count%size != 0 {
+		windows++
+	}
+	return size, windows
+}
+
+// compileSpace runs the compile stage of a search analysis: add
+// executes one adversary's run on a worker kit and compiles it into the
+// given compiler. The space is cut into consecutive block-aligned
+// windows that the worker pool claims in offset order; window 0
+// compiles straight into comp, every later window into a segment of its
+// own, and the segments are merged into comp in offset order, so comp
+// ends up exactly as one sequential pass would leave it. A space under
+// two windows — or a single-worker engine — compiles in one pass, with
+// one kit and no merge.
+func (e *Engine) compileSpace(ctx context.Context, comp *unbeat.Compiler, space enum.Space,
+	add func(ctx context.Context, kit *runKit, c *unbeat.Compiler, adv *model.Adversary) error) error {
+
+	workers := max(e.params.Parallelism, 1)
+	size, windows := compileWindows(space.Count(), workers, space.PatternBlock())
+	segs := make([]*unbeat.Compiler, windows)
+	segs[0] = comp
+	var next atomic.Int64
+	err := unbeat.Shards(ctx, min(workers, windows), func(ctx context.Context, _ int) (err error) {
+		kit := e.getKit()
+		// Panic isolation: protocol code runs here, so a panic is
+		// converted into a typed analysis failure and the kit — possibly
+		// mid-mutation — is discarded instead of repooled.
+		defer func() {
+			if pe := govern.Recovered("engine: analysis compile", recover()); pe != nil {
+				err = pe
+				e.discardKit(kit)
+				return
+			}
+			e.putKit(kit)
+		}()
+		for {
+			w := int(next.Add(1)) - 1
+			if w >= windows {
+				return nil
+			}
+			if w > 0 {
+				segs[w] = comp.NewSegment()
+			}
+			limit := size
+			if w == windows-1 {
+				limit = math.MaxInt // the last window runs to the end of the space
+			}
+			for _, adv := range space.Range(w*size, limit) {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				if err := add(ctx, kit, segs[w], adv); err != nil {
+					return err
+				}
+			}
+		}
+	})
+	if err != nil {
+		return err
+	}
+	for _, seg := range segs[1:] {
+		comp.Merge(seg)
+	}
+	return nil
 }
 
 // certNode is one graph node a certificate family examines.
@@ -374,6 +446,9 @@ func parseCertConfig(args WorkloadArgs, chainKey string) (certConfig, error) {
 // hiddenChainsRun materializes the Fig. 2 run a certificate family
 // works in: c chains of length m, all starting high.
 func hiddenChainsRun(cfg certConfig, c int) (*model.Adversary, *knowledge.Graph, string, error) {
+	if c < 1 || c > model.MaxProcs {
+		return nil, nil, "", fmt.Errorf("engine: hidden-chains run needs 1..%d chains, got %d", model.MaxProcs, c)
+	}
 	n := 1 + c*(cfg.m+1) + cfg.extra
 	values := make([]model.Value, c)
 	for b := range values {

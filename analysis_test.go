@@ -72,6 +72,86 @@ func TestAnalyzeSearchMatchesDirectSearch(t *testing.T) {
 	}
 }
 
+// TestAnalyzeSplitCompileMatchesDirectSearch is the determinism
+// contract on a space large enough for the compile stage to split:
+// search:upmin:n=4,t=2,r=2 has 10,256 adversaries, so engines with two
+// or more workers compile it as several windows merged back in offset
+// order, while a one-worker engine compiles it in one pass. Every
+// parallelism must report exactly what the direct sequential Search
+// reports. Under -race this also exercises the concurrent segment
+// compiles and their hand-off to the merge.
+func TestAnalyzeSplitCompileMatchesDirectSearch(t *testing.T) {
+	ctx := context.Background()
+	base, err := setconsensus.NewProtocol("upmin", setconsensus.Params{N: 4, T: 2, K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := setconsensus.Search(ctx, base, setconsensus.SearchParams{
+		Space: setconsensus.Space{N: 4, T: 2, MaxRound: 2, Values: []int{0, 1}},
+		K:     1, T: 2, Uniform: true, Width: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.Runs != 10256 {
+		t.Fatalf("direct search compiled %d runs, want 10256", direct.Runs)
+	}
+	var first *setconsensus.AnalysisReport
+	for _, par := range []int{1, 2, 3} {
+		rep, err := analysisEngine(par).Analyze(ctx, "search:upmin:n=4,t=2,r=2,width=2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep.Search, direct) {
+			t.Fatalf("parallelism %d diverges from direct search:\nengine: %+v\ndirect: %+v", par, rep.Search, direct)
+		}
+		if first == nil {
+			first = rep
+		} else if !reflect.DeepEqual(rep, first) {
+			t.Fatalf("parallelism %d report diverges:\nP1: %+v\nP%d: %+v", par, first, par, rep)
+		}
+	}
+}
+
+// TestAnalyzeRejectsOutOfRangeParameters pins that parameters which
+// size an allocation fail the analysis with an error before anything is
+// built: a certificate family's chain count outside 1..model.MaxProcs
+// (a negative count used to panic in the slice allocation, a huge one
+// to allocate without bound), and a search's value range outside 0..63,
+// given or defaulted from k (a huge one used to allocate the range
+// whole, an overflowing one to panic).
+func TestAnalyzeRejectsOutOfRangeParameters(t *testing.T) {
+	for _, ref := range []string{
+		"forced:k=-1",
+		"lemma2:c=-2",
+		"forced:k=5000",
+		"search:optmin:n=3,k=100000000000",
+		"search:optmin:n=3,v=0..100000000000000",
+		"search:optmin:n=3,v=-9223372036854775808..9223372036854775807",
+		"search:upmin:n=3,v=-1..1",
+	} {
+		if _, err := analysisEngine(1).Analyze(context.Background(), ref); err == nil {
+			t.Errorf("%s: analysis succeeded, want a parameter-range error", ref)
+		}
+	}
+}
+
+// TestAnalyzeSplitCompileCancels cancels a split compile midway, from
+// the progress callback: every compile worker must stop and the
+// analysis return context.Canceled.
+func TestAnalyzeSplitCompileCancels(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := analysisEngine(2).AnalyzeStream(ctx, "search:upmin:n=4,t=2,r=2,width=2", func(p setconsensus.AnalysisProgress) {
+		if p.Stage == "compile" && p.Done >= 5000 {
+			cancel()
+		}
+	})
+	if err != context.Canceled {
+		t.Fatalf("analysis cancelled mid-compile returned %v, want context.Canceled", err)
+	}
+}
+
 func TestAnalyzeCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

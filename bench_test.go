@@ -331,15 +331,18 @@ func BenchmarkGovernedSweep(b *testing.B) {
 // pre-refactor sequential unbeat.Search on this space is retained as
 // internal/unbeat's BenchmarkSearchReference — the ≥3x acceptance
 // denominator; BenchmarkAnalyzeSequential isolates what the pipeline
-// buys before parallel speedup.
-func benchAnalyze(b *testing.B, parallelism int) {
+// buys before parallel speedup. BenchmarkAnalyzeSplit runs a two-worker
+// engine on a 24,592-adversary space, which the compile stage cuts into
+// seven windows (the last a single pattern block): compile-dominated, it
+// measures the segmented compile and its merge.
+func benchAnalyze(b *testing.B, parallelism int, ref string) {
 	b.Helper()
 	eng := setconsensus.New(setconsensus.WithParallelism(parallelism))
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := eng.Analyze(ctx, "search:upmin:n=4,t=2,r=2,width=2")
+		rep, err := eng.Analyze(ctx, ref)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -349,8 +352,13 @@ func benchAnalyze(b *testing.B, parallelism int) {
 	}
 }
 
-func BenchmarkAnalyze(b *testing.B)           { benchAnalyze(b, 4) }
-func BenchmarkAnalyzeSequential(b *testing.B) { benchAnalyze(b, 1) }
+const benchAnalysisRef = "search:upmin:n=4,t=2,r=2,width=2"
+
+func BenchmarkAnalyze(b *testing.B)           { benchAnalyze(b, 4, benchAnalysisRef) }
+func BenchmarkAnalyzeSequential(b *testing.B) { benchAnalyze(b, 1, benchAnalysisRef) }
+func BenchmarkAnalyzeSplit(b *testing.B) {
+	benchAnalyze(b, 2, "search:upmin:n=4,t=2,r=3,width=2")
+}
 
 func BenchmarkSweepCachedGraphs(b *testing.B) {
 	adv, tb := sweepAdversary(b)

@@ -134,8 +134,16 @@
 // families compile every run of an exhaustive space through the pooled
 // Backend.RunInto path (knowledge graphs rebuilt in a recycled Builder
 // arena, view sequences interned by zero-copy binary fingerprints into
-// slab-carved compiled runs), then stride the deviation candidates
-// across the worker pool: each worker owns scratch and private counters
+// slab-carved compiled runs). The compile is itself parallel: the space
+// (its exact size from Space.Count) is cut into block-aligned windows
+// of at least 4,096 adversaries that the worker pool claims in offset
+// order, each worker compiling into a segment of its own, and the
+// segments merge back in offset order, re-interning each segment's
+// views in its first-seen order — so view ids and deviation ordinals
+// are exactly those of one sequential pass. A space under two windows
+// (or a single-worker engine) compiles in one pass with no merge. The
+// pipeline then strides the deviation candidates across the worker
+// pool: each worker owns scratch and private counters
 // merged once, candidates simulate only the runs their views occur in,
 // and the first dominating candidate in canonical order short-circuits
 // the remaining work. The certificate families shard graph nodes across
@@ -349,7 +357,8 @@
 // instance serves all workers.
 //
 // The analysis pipeline reuses all of it: search compilation runs on
-// RunInto with Builder-revived graphs and interns views through
+// RunInto with a Builder-revived graph arena per compile worker and
+// interns views through
 // Graph.AppendFingerprint (the zero-copy form of Fingerprint — map
 // lookup via string(bytes), key materialized only on a miss), compiled
 // runs are carved from slabs, and candidate testing is allocation-free

@@ -46,9 +46,13 @@ func Full(n int) *Set {
 	return s
 }
 
+// grow extends the set to hold word index word, in one append: a set
+// that first meets a large element allocates once instead of once per
+// capacity doubling. The append(s, make(...)...) form also keeps grow
+// cheap enough for Add and UnionWith to stay inlinable.
 func (s *Set) grow(word int) {
-	for len(s.words) <= word {
-		s.words = append(s.words, 0)
+	if n := word + 1 - len(s.words); n > 0 {
+		s.words = append(s.words, make([]uint64, n)...)
 	}
 }
 

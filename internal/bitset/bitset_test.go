@@ -275,6 +275,32 @@ func TestCopyFrom(t *testing.T) {
 	}
 }
 
+var growSet Set
+
+// TestAddGrowsInOneAllocation pins grow: a set that first meets a large
+// element — a run index of an 87,568-run compiled space — extends to it
+// in one allocation, not one per capacity doubling.
+func TestAddGrowsInOneAllocation(t *testing.T) {
+	allocs := testing.AllocsPerRun(20, func() {
+		growSet = Set{}
+		growSet.Add(87567)
+	})
+	if allocs != 1 && !raceEnabled {
+		t.Fatalf("Add(87567) on an empty set made %.0f allocations, want 1", allocs)
+	}
+	if !growSet.Contains(87567) || growSet.Count() != 1 {
+		t.Fatalf("grown set holds %d elements", growSet.Count())
+	}
+	// Growing into spare capacity left by a shrinking CopyFrom must
+	// zero the extension, not resurrect the stale words.
+	s := FromSlice([]int{500})
+	s.CopyFrom(FromSlice([]int{3}))
+	s.Add(200)
+	if s.Contains(500) || s.Count() != 2 {
+		t.Fatalf("grow into spare capacity resurrected stale bits: %s", s)
+	}
+}
+
 func TestWordsAliases(t *testing.T) {
 	s := New(128).Add(0).Add(64)
 	w := s.Words()

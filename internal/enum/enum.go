@@ -256,6 +256,29 @@ func (s Space) PatternBlock() int {
 	return s.inputCount()
 }
 
+// Count returns the exact number of canonical adversaries All yields:
+// Σ_k C(N,k) · (canonical patterns of a size-k subset) · PatternBlock,
+// in closed form, without walking. It saturates at math.MaxInt for
+// spaces too large to count, and is 0 for an invalid space.
+func (s Space) Count() int {
+	if s.Validate() != nil {
+		return 0
+	}
+	block := uint64(s.inputCount())
+	total, choose := uint64(0), uint64(1) // choose = C(N, k)
+	for k, patterns := range s.subsetPatterns() {
+		total = satAdd(total, satMul(satMul(choose, patterns), block))
+		// C(N, k+1) = C(N, k)·(N−k)/(k+1), exactly: the 128-bit product
+		// divides evenly, and every C(N, ·) with N ≤ 64 fits 64 bits.
+		hi, lo := bits.Mul64(choose, uint64(s.N-k))
+		choose, _ = bits.Div64(hi, lo, uint64(k+1))
+	}
+	if total > math.MaxInt {
+		return math.MaxInt
+	}
+	return int(total)
+}
+
 // Range yields the window [offset, offset+limit) of the enumeration of
 // All: at most limit canonical adversaries beginning at the offset-th,
 // paired with the same offsets All would have paired them with. It is

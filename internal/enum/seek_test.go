@@ -186,6 +186,41 @@ func TestSubsetPatternsSaturate(t *testing.T) {
 	}
 }
 
+// TestCountMatchesWalk pins Count against the walk: it is exactly the
+// number of adversaries All yields, on spaces with and without crashes,
+// with one and several values, and at the analysis benchmark's shape.
+// Past 64 bits it saturates, and an invalid space counts 0.
+func TestCountMatchesWalk(t *testing.T) {
+	for _, s := range []Space{
+		{N: 2, T: 0, MaxRound: 1, Values: []model.Value{0}},
+		{N: 2, T: 1, MaxRound: 1, Values: []model.Value{0, 1}},
+		{N: 3, T: 1, MaxRound: 1, Values: []model.Value{0, 1}},
+		{N: 3, T: 2, MaxRound: 3, Values: []model.Value{0, 1, 2}},
+		{N: 4, T: 3, MaxRound: 3, Values: []model.Value{0, 1}},
+		{N: 5, T: 2, MaxRound: 2, Values: []model.Value{0}},
+	} {
+		walked := 0
+		for range s.All() {
+			walked++
+		}
+		if got := s.Count(); got != walked {
+			t.Errorf("%s: Count = %d, All yields %d", s.Label(), got, walked)
+		}
+	}
+	if got := (Space{N: 4, T: 3, MaxRound: 3, Values: []model.Value{0, 1}}).Count(); got != 87568 {
+		t.Errorf("analysis benchmark space counts %d, want 87568", got)
+	}
+	if got := (Space{N: 40, T: 39, MaxRound: 3, Values: []model.Value{0, 1}}).Count(); got != math.MaxInt {
+		t.Errorf("oversized space counts %d, want saturation at math.MaxInt", got)
+	}
+	if got := (Space{N: 64, T: 63, MaxRound: 1, Values: []model.Value{0}}).Count(); got != math.MaxInt {
+		t.Errorf("widest space counts %d, want saturation at math.MaxInt", got)
+	}
+	if got := (Space{N: 1}).Count(); got != 0 {
+		t.Errorf("invalid space counts %d, want 0", got)
+	}
+}
+
 // referenceCache holds the reference walk's canonical patterns per space
 // shape, so fuzzing does not re-run the exponential raw walk per input.
 var referenceCache = struct {

@@ -18,6 +18,24 @@ type FamilyInfo struct {
 	Summary string
 }
 
+// MaxProcs bounds the process count of a family adversary: the
+// constructors allocate per-process state up front.
+const MaxProcs = 1024
+
+// tooLarge rejects a family adversary of more than MaxProcs processes.
+// The parameters n was derived from must each be at most MaxProcs too,
+// which rules out an n that overflowed into range.
+func tooLarge(family string, n int, params ...int) error {
+	ok := n <= MaxProcs
+	for _, v := range params {
+		ok = ok && v <= MaxProcs
+	}
+	if !ok {
+		return fmt.Errorf("model: %s needs n and its parameters ≤ %d, got n=%d from %v", family, MaxProcs, n, params)
+	}
+	return nil
+}
+
 // Families lists the named adversary families of this package in
 // presentation order.
 func Families() []FamilyInfo {
@@ -42,6 +60,9 @@ func HiddenPath(n, depth int) (*Adversary, error) {
 	if depth < 1 {
 		return nil, fmt.Errorf("model: HiddenPath needs depth ≥ 1, got %d", depth)
 	}
+	if err := tooLarge("HiddenPath", n); err != nil {
+		return nil, err
+	}
 	if n < depth+2 {
 		return nil, fmt.Errorf("model: HiddenPath needs n ≥ depth+2 = %d, got %d", depth+2, n)
 	}
@@ -64,6 +85,9 @@ func HiddenPath(n, depth int) (*Adversary, error) {
 func HiddenChains(n, c, m int, chainValues []Value, defaultValue Value) (*Adversary, error) {
 	if c < 1 || m < 1 {
 		return nil, fmt.Errorf("model: HiddenChains needs c ≥ 1, m ≥ 1 (got c=%d m=%d)", c, m)
+	}
+	if err := tooLarge("HiddenChains", n, c, m); err != nil {
+		return nil, err
 	}
 	if len(chainValues) != c {
 		return nil, fmt.Errorf("model: HiddenChains needs %d chain values, got %d", c, len(chainValues))
@@ -127,6 +151,9 @@ func Collapse(p CollapseParams) (*Adversary, error) {
 	k := p.K
 	t := k * (p.R + 1)
 	n := t + p.ExtraCorrect
+	if err := tooLarge("Collapse", n, p.K, p.R, p.ExtraCorrect); err != nil {
+		return nil, err
+	}
 	b := NewBuilder(n, k)
 	base := p.ExtraCorrect // crashers start after the correct block
 	heads := base
@@ -169,6 +196,9 @@ func SilentRounds(k, rounds, extraCorrect int) (*Adversary, error) {
 		return nil, fmt.Errorf("model: SilentRounds needs extraCorrect ≥ k+1 = %d, got %d", k+1, extraCorrect)
 	}
 	n := k*rounds + extraCorrect
+	if err := tooLarge("SilentRounds", n, k, rounds, extraCorrect); err != nil {
+		return nil, err
+	}
 	b := NewBuilder(n, k)
 	next := extraCorrect
 	for r := 1; r <= rounds; r++ {

@@ -390,3 +390,30 @@ func TestFamiliesMetadata(t *testing.T) {
 		seen[f.Name] = true
 	}
 }
+
+// TestFamiliesRejectOversizedParameters pins the MaxProcs bound: a
+// family whose process count, or any single parameter, exceeds it is
+// rejected before anything is allocated — including parameters whose
+// products would overflow into a small or negative n — while the
+// largest admissible family still builds.
+func TestFamiliesRejectOversizedParameters(t *testing.T) {
+	const huge = 1 << 62
+	for name, build := range map[string]func() (*Adversary, error){
+		"hiddenpath n":          func() (*Adversary, error) { return HiddenPath(MaxProcs+1, 1) },
+		"hiddenchains c":        func() (*Adversary, error) { return HiddenChains(10, huge, 1, nil, 0) },
+		"hiddenchains m":        func() (*Adversary, error) { return HiddenChains(10, 1, huge, []Value{1}, 0) },
+		"collapse K overflows":  func() (*Adversary, error) { return Collapse(CollapseParams{K: huge, R: 3, ExtraCorrect: 2}) },
+		"collapse n":            func() (*Adversary, error) { return Collapse(CollapseParams{K: 1, R: MaxProcs, ExtraCorrect: 2}) },
+		"silentrounds k":        func() (*Adversary, error) { return SilentRounds(huge, 4, huge) },
+		"silentrounds n":        func() (*Adversary, error) { return SilentRounds(2, MaxProcs/2, 3) },
+		"silentrounds extra":    func() (*Adversary, error) { return SilentRounds(1, 1, MaxProcs+1) },
+		"collapse extraCorrect": func() (*Adversary, error) { return Collapse(CollapseParams{K: 1, R: 2, ExtraCorrect: huge}) },
+	} {
+		if adv, err := build(); err == nil {
+			t.Errorf("%s: built an adversary of %d processes, want a MaxProcs error", name, adv.N())
+		}
+	}
+	if adv, err := HiddenPath(MaxProcs, MaxProcs-2); err != nil || adv.N() != MaxProcs {
+		t.Fatalf("largest hidden path: %v", err)
+	}
+}

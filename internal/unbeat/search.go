@@ -32,7 +32,11 @@ import (
 //	          interned view-id sequences plus the base protocol's
 //	          decisions (Compiler.Add; any graph/run machinery feeds it,
 //	          which is how Engine.Analyze drives it through the pooled
-//	          Backend.RunInto / knowledge.Builder revive path);
+//	          Backend.RunInto / knowledge.Builder revive path); workers
+//	          compile consecutive windows of the space into segments
+//	          (Compiler.NewSegment) that Compiler.Merge appends in
+//	          offset order, so the interning order is the sequential
+//	          one;
 //	shard   — deviation candidates are strided across a worker pool in
 //	          canonical enumeration order, each worker folding into
 //	          private accumulators merged once (the internal/agg
@@ -96,8 +100,10 @@ type searchRun struct {
 // executed run at a time into the interned view table and the compiled
 // run list. Feed it with Add — the engine does so through its pooled
 // run path — then seal it with Compiled. A Compiler is not safe for
-// concurrent use; compilation is the cheap, sequential stage (one pass
-// over the space) ahead of the candidate-testing fan-out.
+// concurrent use. Compilation parallelizes by segments instead: each
+// worker fills its own NewSegment over a consecutive window of the
+// space, and Merge appends the segments in offset order, reproducing
+// the single-compiler interning order exactly.
 type Compiler struct {
 	p        SearchParams
 	horizon  int
@@ -278,6 +284,53 @@ func (c *Compiler) Add(adv *model.Adversary, g *knowledge.Graph, decisions []*si
 	c.prevRun = sr
 }
 
+// NewSegment returns an empty compiler over the same parameters, to
+// compile a later window of the space on another goroutine and be
+// appended with Merge.
+func (c *Compiler) NewSegment() *Compiler {
+	return &Compiler{p: c.p, horizon: c.horizon, ids: make(map[string]int, 1<<10), presentW: c.presentW}
+}
+
+// Merge appends seg's runs, which must directly follow c's in the
+// enumeration order. The segment's views are re-interned in the
+// segment's own first-seen order, so a view new to c gets exactly the
+// id a single compiler Adding both run lists would have given it, and
+// the segment's run rows are rewritten to c's ids in place. Merging the
+// segments of consecutive windows in offset order therefore reproduces
+// the sequential compile — view ids, deviation ordinals and reports —
+// byte for byte. seg must not be used afterwards.
+func (c *Compiler) Merge(seg *Compiler) {
+	// The segment's keys, by id. They are only needed here, so an
+	// unsplit compile never materializes them.
+	keys := make([]string, len(seg.viewVals))
+	for key, id := range seg.ids {
+		keys[id] = key
+	}
+	remap := make([]int, len(keys))
+	for sid, key := range keys {
+		id, ok := c.ids[key]
+		if !ok {
+			id = len(c.viewVals)
+			c.ids[key] = id
+			c.viewVals = append(c.viewVals, seg.viewVals[sid])
+			c.viewPre = append(c.viewPre, false)
+		}
+		c.viewPre[id] = c.viewPre[id] || seg.viewPre[sid]
+		remap[sid] = id
+	}
+	for _, sr := range seg.runs {
+		for _, row := range sr.seq {
+			for m, sid := range row {
+				row[m] = remap[sid]
+			}
+		}
+	}
+	c.runs = append(c.runs, seg.runs...)
+	if seg.prevRun != nil {
+		c.prevRun = seg.prevRun
+	}
+}
+
 // Compiled seals the compiler into the shard/test stages' input: the
 // deviation-point list in canonical order (view-interning order, value
 // ascending within a view), the compiled runs, the per-view occurrence
@@ -299,12 +352,21 @@ func (c *Compiler) Compiled() *Compiled {
 			return true
 		})
 	}
-	// occurs[view] = runs whose interned sequences contain the view.
+	// occurs[view] = runs whose interned sequences contain the view. The
+	// test stage only reads the sets of deviation views, so only those
+	// are built, each sized for every run up front.
 	cs.occurs = make([]bitset.Set, len(c.viewVals))
+	for id, pre := range c.viewPre {
+		if pre {
+			cs.occurs[id] = *bitset.New(len(c.runs))
+		}
+	}
 	for ri, sr := range c.runs {
 		for _, row := range sr.seq {
 			for _, id := range row {
-				cs.occurs[id].Add(ri)
+				if c.viewPre[id] {
+					cs.occurs[id].Add(ri)
+				}
 			}
 		}
 	}
@@ -328,7 +390,7 @@ type Compiled struct {
 	runs     []*searchRun
 	viewVals []*bitset.Set
 	devs     []Deviation
-	occurs   []bitset.Set // [view] → runs containing the view
+	occurs   []bitset.Set // [view] → runs containing the view; built for deviation views only
 	baseBad  bitset.Set   // runs violated by the base protocol itself
 }
 

@@ -268,9 +268,12 @@ type randomSource struct {
 // (uniform inputs, crash count, crash rounds, and delivery subsets). The
 // stream is deterministic in the seed and restartable. Like SpaceSource,
 // invalid parameters are rejected here, at construction — model.Random
-// panics on them, and a panic mid-sweep is unrecoverable.
+// panics on them, and a panic mid-sweep is unrecoverable. The process
+// count is bounded by model.MaxProcs and values by maxValue, as for
+// every other workload.
 func RandomSource(seed int64, count int, p RandomParams) (Source, error) {
-	if p.N < 2 || p.T < 0 || p.T > p.N-1 || p.MaxValue < 0 || p.MaxRound < 1 || count < 0 {
+	if p.N < 2 || p.N > model.MaxProcs || p.T < 0 || p.T > p.N-1 ||
+		p.MaxValue < 0 || p.MaxValue > maxValue || p.MaxRound < 1 || count < 0 {
 		return nil, fmt.Errorf("setconsensus: invalid random source (n=%d t=%d maxv=%d maxr=%d count=%d)",
 			p.N, p.T, p.MaxValue, p.MaxRound, count)
 	}

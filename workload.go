@@ -127,6 +127,21 @@ func (a WorkloadArgs) Range(key string, defLo, defHi int) (lo, hi int, err error
 	return lo, hi, nil
 }
 
+// maxValue bounds the input values a reference may name. Values index
+// bit sets throughout the model — a value v costs v/64 words in every
+// set of values a view holds — and a value range is materialized as a
+// slice, so references keep their values in 0..maxValue.
+const maxValue = 63
+
+// checkValueRange rejects a value range lo..hi reaching outside
+// 0..maxValue.
+func checkValueRange(lo, hi int) error {
+	if lo < 0 || hi > maxValue {
+		return fmt.Errorf("values %d..%d outside 0..%d", lo, hi, maxValue)
+	}
+	return nil
+}
+
 // Finish errors if any supplied parameter was never consumed.
 func (a WorkloadArgs) Finish() error {
 	var unknown []string
@@ -411,6 +426,9 @@ var defaultWorkloads = func() *WorkloadRegistry {
 			}
 			label := fmt.Sprintf("hiddenchains:c=%d..%d,m=%d,extra=%d", lo, hi, m, extra)
 			return stepSource(label, lo, hi, func(c int) (*Adversary, error) {
+				if c < 1 || c > model.MaxProcs {
+					return nil, fmt.Errorf("workload %q: chain count c=%d outside 1..%d", args.ref, c, model.MaxProcs)
+				}
 				values := make([]int, c)
 				for b := range values {
 					values[b] = c // all chains start high, as in Fig. 2
@@ -534,6 +552,9 @@ var defaultWorkloads = func() *WorkloadRegistry {
 			vLo, vHi, err := args.Range("v", 0, 1)
 			if err != nil {
 				return nil, err
+			}
+			if err := checkValueRange(vLo, vHi); err != nil {
+				return nil, fmt.Errorf("workload %q: %w", args.ref, err)
 			}
 			if err := args.Finish(); err != nil {
 				return nil, err

@@ -128,6 +128,17 @@ func TestParseWorkloadErrors(t *testing.T) {
 		"hiddenchains:c=0",         // c < 1
 		"random:count=-1",          // negative count
 		"collapse:low=maybe",       // junk boolean
+		// Sizes that once panicked or allocated without bound at parse.
+		"space:v=-9223372036854775808..9223372036854775807", // range width overflows
+		"space:v=0..100000000000000",                        // values past 0..63
+		"space:v=-1..1",                                     // negative value
+		"collapse:k=4611686018427387904,r=3",                // n = k(r+1)+extra overflows
+		"hiddenpath:n=100000,depth=1",                       // n > model.MaxProcs
+		"hiddenchains:c=100000000000",                       // chain count > model.MaxProcs
+		"hiddenchains:c=-5",                                 // negative chain count
+		"silentrounds:k=100000",                             // k > model.MaxProcs
+		"random:n=1000000000",                               // n > model.MaxProcs
+		"random:maxv=9223372036854775807",                   // values past 0..63
 	}
 	for _, ref := range bad {
 		if _, err := setconsensus.ParseWorkload(ref); err == nil {
